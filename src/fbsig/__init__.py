@@ -19,15 +19,16 @@ from .invariants import (SIGNATURE_COMPONENTS, DerivationField, Jet,
                          RegularityFlags, SignatureVector, apply_nabla,
                          bracket, bracket_scalars, eval_J, eval_K, nabla,
                          nabla_from_taylor, pullback, pullback_from_taylor,
-                         regularity, signature_vector, system_jet)
+                         regularity, signature_series, signature_vector,
+                         system_jet)
 from .orbits import (Generator, JetPoint, generating_function, orbit_rank,
                      prolonged_vector, random_jet_point, invariant_counts)
 from .signature import (SignatureCloud, Verdict, build_cloud, compare,
                         export_cloud, intrinsic_dimension, select_chart,
                         tresse)
 from .systems import Box, SystemDef
-from .taylor import (TaylorValue, arith, compose_elementary, lift_variables,
-                     partial, poly_compose)
+from .taylor import (TaylorValue, compose_elementary, lift_variables,
+                     poly_compose)
 from .transform import (FeedbackMap, TransformedSystem, compose_maps,
                         invertibility_check, pushforward_point,
                         random_feedback, transformed_jet, transformed_taylor)

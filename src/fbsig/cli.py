@@ -16,7 +16,8 @@ Systems and feedback maps are declared in a JSON config file:
 
 Subcommands: invariants, signature, equiv, transform, orbit-dim.
 Exit codes: 0 success (equiv: EQUIVALENT), 1 NOT_EQUIVALENT,
-2 INCONCLUSIVE, 3 configuration/usage errors, 4 evaluation errors.
+2 INCONCLUSIVE, 3 configuration/usage errors (including malformed configs
+and points), 4 evaluation errors.
 All numeric output uses 17 significant digits and is deterministic for a
 fixed config and seed.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -61,6 +63,29 @@ class RunConfig:
     seed: int = 0
 
 
+def _integral(value, what) -> int:
+    """An integral JSON number (11 or 11.0), never a bool or a fraction."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
+def _positive(value, what) -> float:
+    """A finite positive number; NaN and infinities are rejected."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:       # an integer beyond the float range
+            pass
+    if not math.isfinite(number) or number <= 0:
+        raise ConfigError("%s must be a positive finite number, got %r"
+                          % (what, value))
+    return number
+
+
 def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
@@ -69,6 +94,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError("cannot read config %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
+    if not isinstance(raw, dict):
+        raise ConfigError("config %s is not a JSON object" % path)
 
     cfg = RunConfig()
     try:
@@ -77,24 +104,25 @@ def load_config(path) -> RunConfig:
                 name, entry["f"], entry["domain"])
         for name, entry in raw.get("maps", {}).items():
             cfg.maps[name] = FeedbackMap.from_strings(entry["X"], entry["U"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ConfigError("bad system/map entry: %r" % (exc,))
     except ExpressionSyntaxError as exc:
         raise ConfigError("bad expression in config: %s" % exc)
 
     if "grid" in raw:
-        grid = tuple(int(n) for n in raw["grid"])
-        if len(grid) != 3 or any(n < 2 for n in grid):
+        if not isinstance(raw["grid"], list) or len(raw["grid"]) != 3:
+            raise ConfigError("grid must be three counts >= 2")
+        grid = tuple(_integral(n, "grid count") for n in raw["grid"])
+        if any(n < 2 for n in grid):
             raise ConfigError("grid must be three counts >= 2")
         cfg.grid = grid
     for key in ("tol_rel", "min_overlap", "eps_reg"):
         if key in raw:
-            val = float(raw[key])
-            if val <= 0:
-                raise ConfigError("%s must be positive" % key)
-            setattr(cfg, key, val)
+            setattr(cfg, key, _positive(raw[key], key))
+    if cfg.min_overlap > 1:
+        raise ConfigError("min_overlap is a fraction of samples, at most 1")
     if "seed" in raw:
-        cfg.seed = int(raw["seed"])
+        cfg.seed = _integral(raw["seed"], "seed")
     return cfg
 
 
@@ -117,9 +145,12 @@ def _parse_point(text):
     if len(parts) != 3:
         raise ConfigError("point %r is not a triple" % text)
     try:
-        return tuple(float(p) for p in parts)
+        point = tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigError("point %r is not numeric" % text)
+    if not all(math.isfinite(c) for c in point):
+        raise ConfigError("point %r is not finite" % text)
+    return point
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -323,9 +354,7 @@ def main(argv=None, out=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.tol is not None:
-            if args.tol <= 0:
-                raise ConfigError("--tol must be positive")
-            cfg.tol_rel = args.tol
+            cfg.tol_rel = _positive(args.tol, "--tol")
         return _COMMANDS[args.command](cfg, args, out)
     except ConfigError as exc:
         out.write("config error: %s\n" % exc)

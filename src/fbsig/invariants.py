@@ -419,51 +419,57 @@ class SignatureVector:
         return np.array([getattr(self, name) for name in SIGNATURE_COMPONENTS])
 
 
+def signature_series(f_tv: TaylorValue, degree: int, eps=EPS_REG) -> tuple:
+    """The 14 components as degree-`degree` series at the point of `f_tv`.
+
+    `f_tv` is the system expanded to degree 4 + `degree`.  J is pulled back
+    at degree + 2, K and the fields of nabla_1..3 at degree + 1, and each
+    nabla_i acts on a degree + 1 series as a directional derivative whose
+    coefficients are truncated to `degree`.  The constants are the signature
+    values; at degree 1 the first-order coefficients are its exact
+    differential.  j_ij is the outer-then-inner nesting nabla_i(nabla_j(J))
+    for i <= j; the order is that of SIGNATURE_COMPONENTS.
+    """
+    if f_tv.degree < degree + 4:
+        raise OrderExceeded("the signature at degree %d needs the system "
+                            "expanded to degree %d" % (degree, degree + 4))
+    _require_regular(Jet.from_taylor(f_tv), eps)
+    point, mid = f_tv.point, degree + 1
+    JF = _J_formula(_series_getter(f_tv, mid + 1),
+                    TaylorValue.variable(2, point, mid + 1))
+    g = _series_getter(f_tv, mid)
+    u1 = TaylorValue.variable(2, point, mid)
+    zero = TaylorValue.constant(0.0, point, mid)
+    fields = [_nabla_formula(i, g, u1, zero) for i in (1, 2, 3)]
+    KF = _K_formula(g, u1)
+
+    def gradient(series):
+        return [series.derivative(axis) for axis in range(3)]
+
+    def apply(coeffs, grad):
+        return coeffs[0] * grad[0] + coeffs[1] * grad[1] + coeffs[2] * grad[2]
+
+    gradJ = gradient(JF)
+    Ji = [apply(fld, gradJ) for fld in fields]
+    gradJi = [gradient(s) for s in Ji]
+    gradK = gradient(KF)
+    low = [[c.truncated(degree) for c in fld] for fld in fields]
+    jij = [apply(low[i], gradJi[j]) for i in range(3) for j in range(i, 3)]
+    ki = [apply(low[i], gradK) for i in range(3)]
+    return (JF.truncated(degree), *(s.truncated(degree) for s in Ji), *jij,
+            KF.truncated(degree), *ki)
+
+
 def signature_vector(source, p=None, eps=EPS_REG) -> SignatureVector:
     """All 14 components from an order-4 jet (or a system and a point).
 
-    j_ij is the outer-then-inner nesting nabla_i(nabla_j(J)) for i <= j;
-    nothing here uses finite differences, so the nested values are exact up
-    to rounding.
+    These are the constants of :func:`signature_series` at degree 0; nothing
+    here uses finite differences, so the nested values are exact up to
+    rounding.
     """
     jet = _resolve_jet(source, p, 4)
     if jet.order < 4:
         raise OrderExceeded("signature_vector needs a jet of order >= 4")
     flags = _require_regular(jet, eps)
-    f_tv = jet.to_taylor()
-
-    JF = pullback_from_taylor("J", f_tv, 2, eps)
-    fields = tuple(nabla_from_taylor(i, f_tv, 1, eps) for i in (1, 2, 3))
-    gradJ = tuple(JF.derivative(axis) for axis in range(3))
-
-    # nabla_i(J) as degree-1 series (coefficient and gradient both degree 1)
-    Ji = []
-    for fld in fields:
-        acc = fld.components[0] * gradJ[0]
-        acc = acc + fld.components[1] * gradJ[1]
-        acc = acc + fld.components[2] * gradJ[2]
-        Ji.append(acc)
-
-    consts = [fld.constants() for fld in fields]
-
-    def directional(coeff, series):
-        return (coeff[0] * series.partial((1, 0, 0))
-                + coeff[1] * series.partial((0, 1, 0))
-                + coeff[2] * series.partial((0, 0, 1)))
-
-    jij = {}
-    for i in range(3):
-        for j in range(i, 3):
-            jij[(i, j)] = directional(consts[i], Ji[j])
-
-    KF = pullback_from_taylor("K", f_tv, 1, eps)
-    ki = [directional(consts[i], KF) for i in range(3)]
-
-    return SignatureVector(
-        j=JF.const,
-        j1=Ji[0].const, j2=Ji[1].const, j3=Ji[2].const,
-        j11=jij[(0, 0)], j12=jij[(0, 1)], j13=jij[(0, 2)],
-        j22=jij[(1, 1)], j23=jij[(1, 2)], j33=jij[(2, 2)],
-        k=KF.const,
-        k1=ki[0], k2=ki[1], k3=ki[2],
-        flags=flags)
+    series = signature_series(jet.to_taylor(), 0, eps)
+    return SignatureVector(*(c.const for c in series), flags=flags)

@@ -19,22 +19,34 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (DependentBasis, EmptyCloud, NonRegular, TooFewSamples)
-from .invariants import (EPS_REG, SIGNATURE_COMPONENTS, signature_vector,
+from .errors import (DependentBasis, DivisionBySingular, DomainError,
+                     EmptyCloud, NonRegular, SingularTransform, TooFewSamples)
+from .invariants import (EPS_REG, SIGNATURE_COMPONENTS, signature_series,
                          system_jet)
 
 #: Indices of the chart candidates (j, j1, j2, j3, k) in the 14-vector.
 CHART_CANDIDATES = {"j": 0, "j1": 1, "j2": 2, "j3": 3, "k": 10}
 
-#: Local patch size for dimension, chart and comparison estimates.
+#: Local patch size for the comparison estimates.
 PATCH_K = 12
+
+#: About this many grid points per cloud carry an exact differential.
+DIFFERENTIAL_PATCHES = 100
+
+#: Skip reasons of per-point evaluation failures other than NonRegular
+#: (which records the name of the failing regularity flag).
+SKIP_REASONS = {DomainError: "domain error",
+                DivisionBySingular: "singular division",
+                SingularTransform: "singular transform"}
+
+_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 #: Singular values below this ratio of the largest do not count as a dimension.
 SV_RATIO = 1e-3
 
 #: A differential with no singular value above this (normalized units) is
 #: treated as zero; genuine tangents are O(1) after spread normalization,
-#: while finite-difference noise on a constant signature sits near 1e-7.
+#: while a constant signature has a zero differential up to rounding.
 SV_ZERO = 1e-5
 
 #: Chart triples with a worst-case tangent projection below this are rejected.
@@ -52,94 +64,67 @@ class SignatureCloud:
     system_id: str
     points: np.ndarray           # (n, 3) base points that passed regularity
     vectors: np.ndarray          # (n, 14) signature values at those points
-    skipped: list                # [(base point, failing flag), ...]
+    skipped: list                # [(base point, reason), ...]
     intrinsic_dim: int = None    # 0..3, or None when not estimable
     chart: tuple = None          # names of the selected coordinate triple
     chart_margins: dict = field(default_factory=dict)
-    jacobians: np.ndarray = None  # (m, 14, 3) sampled differentials, optional
+    jacobians: np.ndarray = None  # (m, 14, 3) exact differentials, columns
+                                  # scaled by the spread of `points`
 
     def __len__(self):
         return self.points.shape[0]
 
 
-def _sample_jacobians(params, spans, jet_at_param, eps, max_patches=100,
-                      h_rel=1e-5):
-    """Central-difference differentials of the signature in parameter space.
-
-    The signature pipeline is exact Taylor arithmetic, so a small step gives
-    the differential to ~1e-7 relative accuracy; the rank of the
-    differential is unchanged by reparametrization, which makes this valid
-    for pushforward clouds sampled through their source grid.  Columns are
-    scaled by the parameter spans, rows are left raw (normalize by the
-    cloud spread before rank counting).
-    """
-    n = len(params)
-    step = max(1, n // max_patches)
-    jacobians = []
-    hs = [max(s, 1.0) * h_rel for s in spans]
-    for idx in range(0, n, step):
-        t = params[idx]
-        cols = []
-        try:
-            for m in range(3):
-                tp = list(t)
-                tm = list(t)
-                tp[m] += hs[m]
-                tm[m] -= hs[m]
-                sp = signature_vector(jet_at_param(tuple(tp)), eps).as_array()
-                sm = signature_vector(jet_at_param(tuple(tm)), eps).as_array()
-                cols.append((sp - sm) / (2.0 * hs[m]) * max(spans[m], 1e-12))
-        except NonRegular:
-            continue
-        jacobians.append(np.column_stack(cols))
-    return np.asarray(jacobians) if jacobians else None
-
-
 def build_cloud(system, grid, eps=EPS_REG, system_id=None) -> SignatureCloud:
-    """Evaluate the signature over a grid; non-regular points are recorded.
+    """Evaluate the signature over a grid; failing points are recorded.
 
-    `system` needs either `jet_grid(grid, order)` / `jet_at_source(p, order)`
-    methods (transformed systems) or a `.domain` box and `.taylor`
-    (expression-backed systems).  Points are visited in grid-index order, so
-    the cloud is deterministic.
+    `system` needs either a `jet_at_source(p, order)` method (transformed
+    systems) or a `.domain` box and `.taylor` (expression-backed systems).
+    Points are visited in grid-index order, so the cloud is deterministic.
+    Every `len(grid points) // DIFFERENTIAL_PATCHES`-th grid point is
+    evaluated from an order-5 jet, whose degree-1 signature series gives the
+    value and the exact 14x3 differential there (with respect to the cloud's
+    base coordinates).  A point whose evaluation fails is recorded in
+    `skipped` with its reason: the failing regularity flag, or one of
+    SKIP_REASONS.  A pushforward point that fails before its image is known
+    is recorded at its source grid point.
     """
     if any(int(n) < 2 for n in grid):
         raise ValueError("grid counts must be >= 2")
-    transformed = hasattr(system, "jet_grid")
-    if transformed:
-        source_box = system.source_domain
-        params = source_box.grid(grid)
-        triples = ((p, *system.jet_at_source(p, 4)) for p in params)
+    transformed = hasattr(system, "jet_at_source")
+    box = system.source_domain if transformed else system.domain
+    params = box.grid(grid)
+    step = max(1, len(params) // DIFFERENTIAL_PATCHES)
 
-        def jet_at_param(t):
-            return system.jet_at_source(t, 4)[1]
-    else:
-        source_box = system.domain
-        params = source_box.grid(grid)
-        triples = ((p, p, system_jet(system, p, 4)) for p in params)
-
-        def jet_at_param(t):
-            return system_jet(system, t, 4)
-
-    pts, vecs, kept_params, skipped = [], [], [], []
-    for param, point, jet in triples:
+    pts, vecs, diffs, skipped = [], [], [], []
+    for idx, param in enumerate(params):
+        degree = 1 if idx % step == 0 else 0
+        point = param
         try:
-            sig = signature_vector(jet, eps)
+            if transformed:
+                point, jet = system.jet_at_source(param, 4 + degree)
+            else:
+                jet = system_jet(system, param, 4 + degree)
+            series = signature_series(jet.to_taylor(), degree, eps)
         except NonRegular as exc:
             skipped.append((tuple(point), exc.flag))
             continue
+        except tuple(SKIP_REASONS) as exc:
+            skipped.append((tuple(point), SKIP_REASONS[type(exc)]))
+            continue
         pts.append(tuple(point))
-        vecs.append(sig.as_array())
-        kept_params.append(tuple(param))
+        vecs.append([c.const for c in series])
+        if degree:
+            diffs.append([[c.partial(e) for e in _AXES] for c in series])
     if not pts:
         raise EmptyCloud("no regular grid point in the sampled domain "
                          "(%d skipped)" % len(skipped))
 
-    spans = [hi - lo for (lo, hi) in source_box.intervals]
+    points = np.asarray(pts)
     cloud = SignatureCloud(
         system_id=system_id or getattr(system, "name", "system"),
-        points=np.asarray(pts), vectors=np.asarray(vecs), skipped=skipped,
-        jacobians=_sample_jacobians(kept_params, spans, jet_at_param, eps))
+        points=points, vectors=np.asarray(vecs), skipped=skipped,
+        jacobians=(np.asarray(diffs) * _spread(points) if diffs else None))
     try:
         cloud.intrinsic_dim = intrinsic_dimension(cloud)
     except TooFewSamples:
@@ -155,46 +140,22 @@ def _spread(values, floor=1e-12):
     return np.where(s < floor, 1.0, s)
 
 
-def _local_jacobians(cloud, k=PATCH_K, max_patches=200):
-    """Least-squares differentials of the signature map on base-space patches.
-
-    Yields 14x3 matrices M with dSigma_norm ~ M dbase_norm fitted over the k
-    nearest samples in (normalized) base coordinates.  Fitting the local
-    linear map instead of running PCA on the 14-dim patch keeps curvature
-    out of the rank count, which matters at realistic grid resolutions.
-    """
-    n = len(cloud)
-    base = cloud.points / _spread(cloud.points)
-    vecs = cloud.vectors / _spread(cloud.vectors)
-    tree = cKDTree(base)
-    k_eff = min(k, n - 1)
-    step = max(1, n // max_patches)
-    for idx in range(0, n, step):
-        _, nbr = tree.query(base[idx], k_eff + 1)
-        nbr = np.atleast_1d(nbr)
-        db = base[nbr] - base[idx]
-        dv = vecs[nbr] - vecs[idx]
-        M, *_ = np.linalg.lstsq(db, dv, rcond=None)
-        yield M.T  # 14 x 3
+def _tangent_matrices(cloud):
+    """The cloud's differentials with rows normalized by the value spread."""
+    if cloud.jacobians is None or not len(cloud.jacobians):
+        raise TooFewSamples("cloud %r carries no signature differentials"
+                            % cloud.system_id)
+    spread = _spread(cloud.vectors)
+    for J in cloud.jacobians:
+        yield J / spread[:, None]
 
 
-def _tangent_matrices(cloud, k=PATCH_K):
-    """Normalized 14x3 differentials: sampled Jacobians when the cloud was
-    built from a jet provider, local least-squares fits otherwise."""
-    if cloud.jacobians is not None and len(cloud.jacobians):
-        spread = _spread(cloud.vectors)
-        for J in cloud.jacobians:
-            yield J / spread[:, None]
-    else:
-        yield from _local_jacobians(cloud, k)
-
-
-def intrinsic_dimension(cloud, k=PATCH_K, sv_ratio=SV_RATIO) -> int:
+def intrinsic_dimension(cloud, sv_ratio=SV_RATIO) -> int:
     """Median local rank of the signature differential (0..3)."""
     if len(cloud) < 30:
         raise TooFewSamples("need >= 30 samples, have %d" % len(cloud))
     dims = []
-    for M in _tangent_matrices(cloud, k):
+    for M in _tangent_matrices(cloud):
         s = np.linalg.svd(M, compute_uv=False)
         if s[0] < SV_ZERO:
             dims.append(0)
@@ -204,7 +165,7 @@ def intrinsic_dimension(cloud, k=PATCH_K, sv_ratio=SV_RATIO) -> int:
     return dims[(len(dims) - 1) // 2]
 
 
-def chart_margins(cloud, k=PATCH_K) -> dict:
+def chart_margins(cloud) -> dict:
     """Worst-case tangent-projection margin for each candidate triple.
 
     For every local tangent basis and every 3-subset of (j, j1, j2, j3, k),
@@ -219,7 +180,7 @@ def chart_margins(cloud, k=PATCH_K) -> dict:
                for c in names[ib + 1:]]
     margins = {t: np.inf for t in triples}
     usable_patches = 0
-    for M in _tangent_matrices(cloud, k):
+    for M in _tangent_matrices(cloud):
         U, s, _ = np.linalg.svd(M, full_matrices=False)
         if s[0] < SV_ZERO or np.sum(s > SV_RATIO * s[0]) < 3:
             continue
@@ -250,12 +211,11 @@ def tresse(v_tv, basis, cond_max=1e10) -> np.ndarray:
     same point as `v_tv`; raises DependentBasis when their gradients are
     numerically dependent.
     """
-    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    M = np.array([[b.partial(ax) for b in basis] for ax in axes])
+    M = np.array([[b.partial(ax) for b in basis] for ax in _AXES])
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > cond_max:
         raise DependentBasis("basis gradient condition %.3e" % cond)
-    rhs = np.array([v_tv.partial(ax) for ax in axes])
+    rhs = np.array([v_tv.partial(ax) for ax in _AXES])
     return np.linalg.solve(M, rhs)
 
 

@@ -20,9 +20,10 @@ import numpy as np
 
 from .errors import DivisionBySingular, DomainError, OrderExceeded
 
-#: Largest supported truncation degree.  Degree 4 covers every invariant in
-#: the 14-component signature; 5 leaves headroom for order-5 jet experiments.
-MAX_DEGREE = 5
+#: Largest supported truncation degree.  The 14-component signature needs
+#: degree 4 and its exact differential degree 5; a degree-5 pushforward lifts
+#: the feedback map one degree higher (``transform._xu_series``), hence 6.
+MAX_DEGREE = 6
 
 #: A divisor whose constant term is at most this is treated as singular.
 DIV_EPS = 1e-300
@@ -117,6 +118,21 @@ class TaylorValue:
         object.__setattr__(self, "degree", int(degree))
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _trusted(cls, point, degree, coeffs):
+        """Wrap a result of arithmetic without validating or copying.
+
+        `point` must already be a tuple of floats, `degree` a valid int and
+        `coeffs` a float array of the matching length that no other code
+        writes to.
+        """
+        coeffs.flags.writeable = False
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "point", point)
+        object.__setattr__(obj, "degree", degree)
+        object.__setattr__(obj, "coeffs", coeffs)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("TaylorValue is immutable")
 
@@ -157,9 +173,11 @@ class TaylorValue:
 
     def truncated(self, degree: int) -> "TaylorValue":
         """Drop all coefficients of order above `degree`."""
-        if degree > self.degree:
-            raise ValueError("cannot extend a series by truncation")
-        return TaylorValue(self.point, degree, self.coeffs[:n_terms(degree)])
+        if not 0 <= degree <= self.degree:
+            raise ValueError("cannot truncate a degree-%d series to degree %d"
+                             % (self.degree, degree))
+        return TaylorValue._trusted(self.point, degree,
+                                    self.coeffs[:n_terms(degree)])
 
     def derivative(self, axis: int) -> "TaylorValue":
         """Series of the partial derivative along `axis`; degree drops by 1."""
@@ -168,7 +186,7 @@ class TaylorValue:
         src, dst, fac = _deriv_table(self.degree, axis)
         out = np.zeros(n_terms(self.degree - 1))
         out[dst] = self.coeffs[src] * fac
-        return TaylorValue(self.point, self.degree - 1, out)
+        return TaylorValue._trusted(self.point, self.degree - 1, out)
 
     def __repr__(self):
         return ("TaylorValue(point=%r, degree=%d, const=%.6g)"
@@ -186,31 +204,34 @@ class TaylorValue:
         if isinstance(value, TaylorValue):
             self._compat(value)
             return value
-        return TaylorValue.constant(float(value), self.point, self.degree)
+        return _constant(float(value), self.point, self.degree)
 
     def __add__(self, other):
         other = self._lift(other)
-        return TaylorValue(self.point, self.degree, self.coeffs + other.coeffs)
+        return TaylorValue._trusted(self.point, self.degree,
+                                    self.coeffs + other.coeffs)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._lift(other)
-        return TaylorValue(self.point, self.degree, self.coeffs - other.coeffs)
+        return TaylorValue._trusted(self.point, self.degree,
+                                    self.coeffs - other.coeffs)
 
     def __rsub__(self, other):
         return self._lift(other) - self
 
     def __neg__(self):
-        return TaylorValue(self.point, self.degree, -self.coeffs)
+        return TaylorValue._trusted(self.point, self.degree, -self.coeffs)
 
     def __mul__(self, other):
         if not isinstance(other, TaylorValue):
-            return TaylorValue(self.point, self.degree,
-                               self.coeffs * float(other))
+            return TaylorValue._trusted(self.point, self.degree,
+                                        self.coeffs * float(other))
         self._compat(other)
-        return TaylorValue(self.point, self.degree,
-                           _raw_mul(self.coeffs, other.coeffs, self.degree))
+        return TaylorValue._trusted(
+            self.point, self.degree,
+            _raw_mul(self.coeffs, other.coeffs, self.degree))
 
     __rmul__ = __mul__
 
@@ -221,7 +242,7 @@ class TaylorValue:
                 "division by series with zero constant term")
         # 1/b = (1/c0) * sum (-r)^k  with r = (b - c0)/c0, truncated Horner
         r = (self - c0) * (1.0 / c0)
-        s = TaylorValue.constant(1.0, self.point, self.degree)
+        s = _constant(1.0, self.point, self.degree)
         for _ in range(self.degree):
             s = 1.0 - r * s
         return s * (1.0 / c0)
@@ -244,7 +265,7 @@ class TaylorValue:
         n = int(n)
         if n < 0:
             return self.reciprocal().pow_int(-n)
-        out = TaylorValue.constant(1.0, self.point, self.degree)
+        out = _constant(1.0, self.point, self.degree)
         base = self
         while n > 0:
             if n & 1:
@@ -257,28 +278,18 @@ class TaylorValue:
         return self.pow_int(n)
 
 
+def _constant(value, point, degree):
+    """Trusted constant series at an already normalized point."""
+    c = np.zeros(n_terms(degree))
+    c[0] = value
+    return TaylorValue._trusted(point, degree, c)
+
+
 def lift_variables(point, degree):
     """The coordinate functions x, u, u1 as degree-`degree` series at `point`."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     return tuple(TaylorValue.variable(axis, point, degree) for axis in range(3))
-
-
-def arith(op, a, b=None):
-    """Named arithmetic dispatch (add, sub, mul, div, neg, pow_int)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "neg":
-        return -a
-    if op == "pow_int":
-        return a.pow_int(b)
-    raise ValueError("unknown operation %r" % op)
 
 
 # -- univariate coefficient helpers for elementary functions ---------------
@@ -351,15 +362,10 @@ def compose_elementary(fn: str, a: TaylorValue) -> TaylorValue:
         return compose_elementary("sin", a) / compose_elementary("cos", a)
     d = _ucoeffs(fn, a.const, a.degree)
     h = a - a.const
-    out = TaylorValue.constant(d[a.degree], a.point, a.degree)
+    out = _constant(d[a.degree], a.point, a.degree)
     for k in range(a.degree - 1, -1, -1):
         out = out * h + d[k]
     return out
-
-
-def partial(a: TaylorValue, sigma) -> float:
-    """Module-level alias for :meth:`TaylorValue.partial`."""
-    return a.partial(sigma)
 
 
 def poly_compose(poly: TaylorValue, args) -> TaylorValue:
@@ -376,7 +382,7 @@ def poly_compose(poly: TaylorValue, args) -> TaylorValue:
     degree = s1.degree
     pows = []
     for s in (s1, s2, s3):
-        ps = [TaylorValue.constant(1.0, s1.point, degree)]
+        ps = [_constant(1.0, s1.point, degree)]
         for _ in range(poly.degree):
             ps.append(ps[-1] * s)
         pows.append(ps)
@@ -387,4 +393,4 @@ def poly_compose(poly: TaylorValue, args) -> TaylorValue:
             continue
         term = pows[0][i] * pows[1][j] * pows[2][l]
         acc = acc + c * term.coeffs
-    return TaylorValue(s1.point, degree, acc)
+    return TaylorValue._trusted(s1.point, degree, acc)

@@ -39,9 +39,6 @@ class FeedbackMap:
                    domain=tuple(tuple(map(float, iv)) for iv in domain))
 
 
-IDENTITY = FeedbackMap.from_strings("x", "u")
-
-
 def _xu_series(mapping: FeedbackMap, point, degree):
     """Series of X, X', U, U_x, U_u at the base point, at the given degree."""
     xl, ul, _ = lift_variables(tuple(map(float, point)), degree + 1)

@@ -21,6 +21,10 @@ CONFIG = {
                              "u1": [1.8, 2.6]}},
         "lin": {"f": "u1",
                 "domain": {"x": [-1, 1], "u": [-1, 1], "u1": [1, 2]}},
+        "logx": {"f": "u1^2 + log(x) + 20",
+                 "domain": {"x": [1e-6, 1], "u": [-1, 1], "u1": [1, 2]}},
+        "logu1": {"f": "log(u1) + x",
+                  "domain": {"x": [1, 2], "u": [-1, 1], "u1": [-1, 2]}},
     },
     "maps": {
         "double": {"X": "2*x", "U": "u"},
@@ -98,6 +102,61 @@ def test_signature_empty_cloud(config_path):
     code, text = run(["signature", "--config", config_path, "--system", "lin"])
     assert code == 4
     assert "no regular grid point" in text
+
+
+def test_signature_at_the_edge_of_the_domain(config_path, tmp_path):
+    # log(x) is defined on the whole box, down to x = 1e-6
+    out_csv = str(tmp_path / "logx.csv")
+    code, text = run(["signature", "--config", config_path,
+                      "--system", "logx", "--out", out_csv])
+    assert code == 0, text
+    assert "samples: 125 (skipped 0)" in text
+
+
+def test_signature_records_domain_errors(config_path, tmp_path):
+    # log(u1) fails on the u1 = -1 and u1 = -0.25 grid planes only
+    out_csv = str(tmp_path / "logu1.csv")
+    code, text = run(["signature", "--config", config_path,
+                      "--system", "logu1", "--out", out_csv])
+    assert code == 0, text
+    assert "samples: 75 (skipped 50)" in text
+    skipped = open(str(tmp_path / "logu1_skipped.csv")).read().splitlines()
+    assert len(skipped) == 51
+    assert all(line.split(",")[2] in ("-1", "-0.25") for line in skipped[1:])
+    assert all(line.endswith(",domain error") for line in skipped[1:])
+
+
+@pytest.mark.parametrize("patch, extra", [
+    ([1, 2, 3], []),
+    ({"grid": ["a", 5, 5]}, []),
+    ({"grid": [11.9, 5, 5]}, []),
+    ({"grid": [5, 2.5, 5]}, []),
+    ({"grid": [5, 5, True]}, []),
+    ({"grid": "555"}, []),
+    ({"tol_rel": float("nan")}, []),
+    ({"min_overlap": float("inf")}, []),
+    ({"min_overlap": 1.5}, []),
+    ({"eps_reg": float("nan")}, []),
+    ({"tol_rel": 10 ** 400}, []),
+    ({"seed": 1.5}, []),
+    ({}, ["--tol", "nan"]),
+    ({}, ["--tol", "inf"]),
+    ({}, ["--point", "0,0,nan"]),
+    ({}, ["--point", "inf,0,1"]),
+], ids=["not-object", "grid-str", "grid-11.9", "grid-2.5", "grid-true",
+        "grid-not-list", "tol-nan", "overlap-inf", "overlap-1.5", "eps-nan",
+        "tol-huge", "seed-1.5", "cli-tol-nan", "cli-tol-inf", "point-nan",
+        "point-inf"])
+def test_malformed_config_exits_3(tmp_path, patch, extra):
+    raw = dict(CONFIG, **patch) if isinstance(patch, dict) else patch
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    argv = ["invariants", "--config", str(path), "--system", "sq"] + extra
+    if "--point" not in extra:
+        argv += ["--point", "0,0,1"]
+    code, text = run(argv)
+    assert code == 3
+    assert text.startswith("config error:"), text
 
 
 def test_equiv_exit_codes(config_path):

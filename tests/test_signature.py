@@ -6,11 +6,12 @@ import pytest
 from fbsig import (DependentBasis, EmptyCloud, SignatureCloud, SystemDef,
                    TooFewSamples, TransformedSystem, apply_nabla, build_cloud,
                    compare, export_cloud, intrinsic_dimension,
-                   nabla_from_taylor, pullback_from_taylor, random_feedback,
-                   select_chart, system_jet, tresse)
+                   nabla_from_taylor, pullback_from_taylor, pushforward_point,
+                   random_feedback, select_chart, signature_series,
+                   signature_vector, system_jet, tresse)
 from fbsig.signature import (CHART_CANDIDATES, EQUIVALENT, INCONCLUSIVE,
                              NOT_EQUIVALENT, chart_margins)
-from helpers import make_system, sample_regular_points
+from helpers import fd_gradient, make_system, sample_regular_points
 
 SQ = SystemDef.from_strings("sq", "u1^2",
                             {"x": [-1, 1], "u": [-1, 1], "u1": [1, 2]})
@@ -75,16 +76,17 @@ def test_intrinsic_dimension_too_few_samples():
         intrinsic_dimension(cloud)
 
 
-def test_dimension_fallback_without_jacobians():
-    # synthetic cloud (no jet provider): local least-squares patches
+def test_dimension_from_analytic_differentials():
+    # synthetic cloud, linear in its base points: the differential is constant
     rng = np.random.default_rng(0)
     t = rng.uniform(0.0, 1.0, size=(200, 3))
-    vecs = np.zeros((200, 14))
-    vecs[:, 0] = t[:, 0]
-    vecs[:, 2] = t[:, 1]
-    vecs[:, 10] = t[:, 2]
-    vecs[:, 5] = 0.3 * t[:, 0] - 0.2 * t[:, 2]
-    cloud = SignatureCloud("synthetic", t, vecs, [])
+    D = np.zeros((14, 3))
+    D[0, 0] = D[2, 1] = D[10, 2] = 1.0
+    D[5] = (0.3, 0.0, -0.2)
+    cloud = SignatureCloud("synthetic", t, t @ D.T, [])
+    with pytest.raises(TooFewSamples):
+        intrinsic_dimension(cloud)      # no differentials: an error
+    cloud.jacobians = np.repeat(D[None], 20, axis=0)
     assert intrinsic_dimension(cloud) == 3
 
 
@@ -92,24 +94,82 @@ def test_select_chart_excludes_degenerate_coordinate():
     # j constant, (j1, j2, k) parametrize; chart must exclude j
     n = 11
     axes = np.linspace(0.1, 1.0, n)
-    pts, vecs = [], []
+    pts, vecs, diffs = [], [], []
     for a in axes:
         for b in axes:
             for c in axes:
                 pts.append((a, b, c))
                 v = np.zeros(14)
+                d = np.zeros((14, 3))
                 v[0] = 2.0                      # j constant
                 v[1], v[2], v[10] = a, b, c     # j1, j2, k
+                d[1, 0] = d[2, 1] = d[10, 2] = 1.0
                 v[3] = 0.2 * a + 0.1 * b * c    # j3 dependent
+                d[3] = (0.2, 0.1 * c, 0.1 * b)
                 v[7] = a * a - c                # j22 rides along
+                d[7] = (2.0 * a, 0.0, -1.0)
                 vecs.append(v)
-    cloud = SignatureCloud("graph", np.array(pts), np.array(vecs), [])
+                diffs.append(d)
+    cloud = SignatureCloud("graph", np.array(pts), np.array(vecs), [],
+                           jacobians=np.array(diffs[::13]))
     cloud.intrinsic_dim = intrinsic_dimension(cloud)
     assert cloud.intrinsic_dim == 3
     cloud.chart_margins = chart_margins(cloud)
     chart = select_chart(cloud)
     assert chart is not None
     assert "j" not in chart
+
+
+def test_exact_differential_matches_finite_differences():
+    # the degree-1 signature series against central differences of the
+    # degree-0 values, at cubic points and at one pushforward point
+    system = make_system("cubic")
+    for p in sample_regular_points(system, 3, seed=5):
+        series = signature_series(system_jet(system, p, 5).to_taylor(), 1)
+        exact = np.array([[c.partial(e) for e in AXES] for c in series])
+        assert np.array_equal([c.const for c in series],
+                              signature_vector(system, p).as_array())
+        ref = _fd_jacobian(lambda q: signature_vector(system, q).as_array(),
+                           p)
+        _assert_close_rows(exact, ref)
+
+    # pushforward: sigma_G(Psi(p)) = sigma_F(p), differentiated in p, equals
+    # the exact image-coordinate differential times dPsi/dp
+    phi = random_feedback(7, (system.domain.x, system.domain.u))
+    pushed = TransformedSystem(phi, system)
+    p = sample_regular_points(system, 1, seed=6)[0]
+    _, jet = pushed.jet_at_source(p, 5)
+    series = signature_series(jet.to_taylor(), 1)
+    exact = np.array([[c.partial(e) for e in AXES] for c in series])
+    dpsi = _fd_jacobian(lambda q: np.array(pushforward_point(phi, system, q)),
+                        p)
+    ref = _fd_jacobian(
+        lambda q: signature_vector(pushed.jet_at_source(q, 4)[1]).as_array(),
+        p)
+    _assert_close_rows(exact @ dpsi, ref)
+
+
+AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _fd_jacobian(vector_fn, p):
+    """Rows of helpers.fd_gradient, one per component of a vector function."""
+    cache = {}
+
+    def value(q):
+        if q not in cache:
+            cache[q] = vector_fn(q)
+        return cache[q]
+
+    n = len(value(tuple(p)))
+    return np.array([fd_gradient(lambda q, c=c: value(q)[c], p)
+                     for c in range(n)])
+
+
+def _assert_close_rows(exact, ref, rel=1e-5):
+    scale = np.maximum(1.0, np.abs(ref).max(axis=1, keepdims=True))
+    err = np.abs(exact - ref) / scale
+    assert err.max() <= rel, err
 
 
 # -- tresse ---------------------------------------------------------------------
