@@ -30,6 +30,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import orbits
 from .errors import (ConfigError, EmptyCloud, ExpressionSyntaxError,
                      FbsigError, NonRegular)
@@ -165,16 +167,18 @@ def cmd_invariants(cfg, args, out):
             "nabla1_J", "nabla2_J", "nabla3_J")
     out.write("\t".join(cols) + "\n")
     for p in points:
-        jet = system_jet(system, p, 4)
-        flags = regularity(jet, cfg.eps_reg)
-        if not flags.all_ok:
-            row = [_fmt(c) for c in p]
-            row.append("no(%s)" % ",".join(flags.failing()))
-            row.extend(["-"] * (len(cols) - 4))
-            out.write("\t".join(row) + "\n")
-            continue
-        sig = signature_vector(jet, cfg.eps_reg)
-        jbr, kbr, lbr = bracket_scalars(jet, cfg.eps_reg)
+        # an overflowing point gives a non-finite jet, named in its row
+        with np.errstate(all="ignore"):
+            jet = system_jet(system, p, 4)
+            flags = regularity(jet, cfg.eps_reg)
+            if not flags.all_ok:
+                row = [_fmt(c) for c in p]
+                row.append("no(%s)" % ",".join(flags.failing()))
+                row.extend(["-"] * (len(cols) - 4))
+                out.write("\t".join(row) + "\n")
+                continue
+            sig = signature_vector(jet, cfg.eps_reg)
+            jbr, kbr, lbr = bracket_scalars(jet, cfg.eps_reg)
         row = [_fmt(c) for c in p] + ["yes"]
         row += [_fmt(v) for v in (sig.j, sig.k, jbr, kbr, lbr,
                                   sig.j1, sig.j2, sig.j3)]

@@ -1,8 +1,39 @@
 """Exception hierarchy shared by all modules."""
 
+import numpy as np
+
 
 class FbsigError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    An error raised while evaluating a batch of points carries in `columns`
+    the indices of the columns that failed; None means every column.
+    """
+
+    columns = None
+
+
+def check_columns(bad, make_error):
+    """Raise `make_error(i)` if `bad` is set, for one point or a batch.
+
+    `bad` is a boolean for one point or a boolean array with one entry per
+    column; `i` is None for one point and the first failing column of a
+    batch, whose failing columns go into the error's `columns`.
+    """
+    if np.ndim(bad) == 0:
+        if bad:
+            raise make_error(None)
+        return
+    columns = np.flatnonzero(bad)
+    if columns.size:
+        exc = make_error(columns[0])
+        exc.columns = columns
+        raise exc
+
+
+def at(value, column):
+    """The entry of a per-column value at `column` (None: one point)."""
+    return value if column is None else value[column]
 
 
 class DivisionBySingular(FbsigError):

@@ -9,7 +9,8 @@ signature vector
 
 Every formula is evaluated generically over a "jet getter", so the same code
 path serves plain numbers (values at a point) and TaylorValues (pullbacks as
-truncated series in the base variables).  The u1-coefficient of nabla_3
+truncated series in the base variables, at one point or at a batch of
+points, one column each).  The u1-coefficient of nabla_3
 carries the factor f on f_xu1; the variant without that factor fails the
 equivariance checks (see tests), so the corrected form is used throughout.
 """
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonRegular, OrderExceeded, RelationViolation
+from .errors import (NonRegular, OrderExceeded, RelationViolation, at,
+                     check_columns)
 from .taylor import TaylorValue, index_map, n_terms, _factorial_products
 
 #: Default scaled magnitude below which a regularity flag fails.
@@ -91,47 +93,93 @@ def _resolve_jet(source, p, order) -> Jet:
 # -- regularity ---------------------------------------------------------------
 
 
+#: Names of the regularity tests, in the order they are checked.
+FLAG_NAMES = ("f", "f_u1", "f_u1u1", "u1*f_u1 - f")
+
+#: Reason given for a jet with an infinite or NaN derivative.
+NON_FINITE = "non-finite jet"
+
+
 @dataclass(frozen=True)
 class RegularityFlags:
-    """Nonvanishing tests for f, f_u1, f_u1u1 and the denominator u1 f_u1 - f."""
+    """Nonvanishing tests for f, f_u1, f_u1u1 and the denominator u1 f_u1 - f.
+
+    A jet with a non-finite derivative is not tested (`finite` is False and
+    the magnitudes are NaN); it fails as a whole.
+    """
 
     f_nonzero: bool
     fu1_nonzero: bool
     fu1u1_nonzero: bool
     denom_nonzero: bool
     magnitudes: tuple
+    finite: bool = True
 
     @property
     def all_ok(self):
-        return (self.f_nonzero and self.fu1_nonzero
+        return (self.finite and self.f_nonzero and self.fu1_nonzero
                 and self.fu1u1_nonzero and self.denom_nonzero)
 
     def failing(self):
-        names = ("f", "f_u1", "f_u1u1", "u1*f_u1 - f")
+        if not self.finite:
+            return (NON_FINITE,)
         flags = (self.f_nonzero, self.fu1_nonzero,
                  self.fu1u1_nonzero, self.denom_nonzero)
-        return tuple(n for n, ok in zip(names, flags) if not ok)
+        return tuple(n for n, ok in zip(FLAG_NAMES, flags) if not ok)
 
 
-def regularity(jet: Jet, eps=EPS_REG) -> RegularityFlags:
-    """Scaled nonvanishing flags; the scale is max(1, |f|, |f_u1|)."""
-    f = jet.partial((0, 0, 0))
-    fz = jet.partial((0, 0, 1))
-    fzz = jet.partial((0, 0, 2))
-    denom = jet.point[2] * fz - f
-    scale = max(1.0, abs(f), abs(fz))
-    mags = tuple(abs(q) / scale for q in (f, fz, fzz, denom))
-    flags = tuple(m > eps for m in mags)
-    return RegularityFlags(*flags, magnitudes=mags)
+def _derivatives(source):
+    """All partials f_sigma of a Jet or a series (per column for a batch)."""
+    if isinstance(source, Jet):
+        return source.order, source.values
+    fac = _factorial_products(source.degree)
+    return source.degree, source.coeffs * (fac if source.coeffs.ndim == 1
+                                           else fac[:, None])
 
 
-def _require_regular(jet, eps=EPS_REG):
-    flags = regularity(jet, eps)
-    if not flags.all_ok:
-        bad = flags.failing()[0]
-        idx = ("f", "f_u1", "f_u1u1", "u1*f_u1 - f").index(bad)
-        raise NonRegular(bad, flags.magnitudes[idx])
-    return flags
+def _finite_and_magnitudes(source):
+    """(finite, scaled magnitudes of f, f_u1, f_u1u1, u1 f_u1 - f); the
+    magnitudes are only computed where the derivatives are finite."""
+    order, values = _derivatives(source)
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        return finite, None
+    pos = index_map(order)
+    f, fz, fzz = (values[pos[s]] for s in ((0, 0, 0), (0, 0, 1), (0, 0, 2)))
+    denom = source.point[2] * fz - f
+    scale = np.maximum(np.maximum(1.0, abs(f)), abs(fz))
+    return finite, tuple(abs(q) / scale for q in (f, fz, fzz, denom))
+
+
+def regularity(jet, eps=EPS_REG) -> RegularityFlags:
+    """Scaled nonvanishing flags of one point (a Jet, or a series).
+
+    The scale is max(1, |f|, |f_u1|).
+    """
+    finite, mags = _finite_and_magnitudes(jet)
+    if not finite:
+        return RegularityFlags(False, False, False, False,
+                               magnitudes=(np.nan,) * 4, finite=False)
+    mags = tuple(float(m) for m in mags)
+    return RegularityFlags(*(m > eps for m in mags), magnitudes=mags)
+
+
+def _require_regular(source, eps=EPS_REG):
+    """Raise NonRegular at the first failing test, in the order: a
+    non-finite derivative, then FLAG_NAMES.
+
+    `source` is a Jet or a series.  In a batch the error names the columns
+    that fail the first test any column fails; the others go on.  Returns
+    the flags of one point, None for a batch.
+    """
+    finite, mags = _finite_and_magnitudes(source)
+    check_columns(~finite, lambda i: NonRegular(NON_FINITE))
+    for name, m in zip(FLAG_NAMES, mags):
+        check_columns(~(m > eps), lambda i: NonRegular(name, at(m, i)))
+    if np.ndim(finite) == 0:
+        return RegularityFlags(True, True, True, True,
+                               magnitudes=tuple(float(m) for m in mags))
+    return None
 
 
 # -- generic formula core -----------------------------------------------------
@@ -258,7 +306,7 @@ def pullback_from_taylor(field: str, f_tv: TaylorValue, degree: int,
     if f_tv.degree < need:
         raise OrderExceeded("pullback of %s at degree %d needs the system "
                             "expanded to degree %d" % (field, degree, need))
-    _require_regular(Jet.from_taylor(f_tv), eps)
+    _require_regular(f_tv, eps)
     g = _series_getter(f_tv, degree)
     u1 = TaylorValue.variable(2, f_tv.point, degree)
     formula = _J_formula if field == "J" else _K_formula
@@ -284,14 +332,22 @@ class DerivationField:
 def nabla_from_taylor(i: int, f_tv: TaylorValue, degree: int,
                       eps=EPS_REG) -> DerivationField:
     """nabla_i pulled back along a system, components as degree-D series."""
+    return _nabla_fields(f_tv, degree, eps, (i,))[0]
+
+
+def _nabla_fields(f_tv: TaylorValue, degree: int, eps=EPS_REG,
+                  indices=(1, 2, 3)) -> tuple:
+    """The fields of nabla_i, i in `indices`, from one getter and one
+    regularity check."""
     if f_tv.degree < degree + 2:
         raise OrderExceeded("nabla coefficients at degree %d need the system "
                             "expanded to degree %d" % (degree, degree + 2))
-    _require_regular(Jet.from_taylor(f_tv), eps)
+    _require_regular(f_tv, eps)
     g = _series_getter(f_tv, degree)
     u1 = TaylorValue.variable(2, f_tv.point, degree)
     zero = TaylorValue.constant(0.0, f_tv.point, degree)
-    return DerivationField(i, tuple(_nabla_formula(i, g, u1, zero)))
+    return tuple(DerivationField(i, tuple(_nabla_formula(i, g, u1, zero)))
+                 for i in indices)
 
 
 def nabla(i: int, system, p, degree: int, eps=EPS_REG) -> DerivationField:
@@ -321,8 +377,7 @@ def apply_nabla(i: int, g_tv: TaylorValue, source, p=None,
 
 
 def _bracket_fields(jet: Jet, eps=EPS_REG):
-    f_tv = jet.to_taylor()
-    return tuple(nabla_from_taylor(i, f_tv, 1, eps) for i in (1, 2, 3))
+    return _nabla_fields(jet.to_taylor(), 1, eps)
 
 
 def _commutator(va, vb):
@@ -428,12 +483,14 @@ def signature_series(f_tv: TaylorValue, degree: int, eps=EPS_REG) -> tuple:
     coefficients are truncated to `degree`.  The constants are the signature
     values; at degree 1 the first-order coefficients are its exact
     differential.  j_ij is the outer-then-inner nesting nabla_i(nabla_j(J))
-    for i <= j; the order is that of SIGNATURE_COMPONENTS.
+    for i <= j; the order is that of SIGNATURE_COMPONENTS.  A batch `f_tv`
+    gives batch components; a point that fails regularity raises NonRegular
+    naming its column.
     """
     if f_tv.degree < degree + 4:
         raise OrderExceeded("the signature at degree %d needs the system "
                             "expanded to degree %d" % (degree, degree + 4))
-    _require_regular(Jet.from_taylor(f_tv), eps)
+    _require_regular(f_tv, eps)
     point, mid = f_tv.point, degree + 1
     JF = _J_formula(_series_getter(f_tv, mid + 1),
                     TaylorValue.variable(2, point, mid + 1))

@@ -21,8 +21,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (DependentBasis, DivisionBySingular, DomainError,
                      EmptyCloud, NonRegular, SingularTransform, TooFewSamples)
-from .invariants import (EPS_REG, SIGNATURE_COMPONENTS, signature_series,
-                         system_jet)
+from .invariants import EPS_REG, SIGNATURE_COMPONENTS, signature_series
 
 #: Indices of the chart candidates (j, j1, j2, j3, k) in the 14-vector.
 CHART_CANDIDATES = {"j": 0, "j1": 1, "j2": 2, "j3": 3, "k": 10}
@@ -33,11 +32,18 @@ PATCH_K = 12
 #: About this many grid points per cloud carry an exact differential.
 DIFFERENTIAL_PATCHES = 100
 
+#: Grid points are evaluated in blocks of at most this many, one column per
+#: point.  A block bounds the memory of the batched series; at degree 4 a
+#: block of 256 columns also costs less per column than the whole 11^3 grid.
+BLOCK_COLUMNS = 256
+
 #: Skip reasons of per-point evaluation failures other than NonRegular
 #: (which records the name of the failing regularity flag).
 SKIP_REASONS = {DomainError: "domain error",
                 DivisionBySingular: "singular division",
                 SingularTransform: "singular transform"}
+
+_SKIPPED = (NonRegular, *SKIP_REASONS)
 
 _AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -78,53 +84,52 @@ class SignatureCloud:
 def build_cloud(system, grid, eps=EPS_REG, system_id=None) -> SignatureCloud:
     """Evaluate the signature over a grid; failing points are recorded.
 
-    `system` needs either a `jet_at_source(p, order)` method (transformed
-    systems) or a `.domain` box and `.taylor` (expression-backed systems).
-    Points are visited in grid-index order, so the cloud is deterministic.
-    Every `len(grid points) // DIFFERENTIAL_PATCHES`-th grid point is
-    evaluated from an order-5 jet, whose degree-1 signature series gives the
-    value and the exact 14x3 differential there (with respect to the cloud's
-    base coordinates).  A point whose evaluation fails is recorded in
-    `skipped` with its reason: the failing regularity flag, or one of
-    SKIP_REASONS.  A pushforward point that fails before its image is known
-    is recorded at its source grid point.
+    `system` needs either a `taylor_at_source(p, degree)` method
+    (transformed systems) or a `.domain` box and `.taylor` (expression-backed
+    systems).  Every `len(grid points) // DIFFERENTIAL_PATCHES`-th grid point
+    is evaluated from an order-5 jet, whose degree-1 signature series gives
+    the value and the exact 14x3 differential there (with respect to the
+    cloud's base coordinates); the others from an order-4 jet.  Each of the
+    two sets is evaluated in blocks of at most BLOCK_COLUMNS grid points,
+    one column per point.  A point whose evaluation fails is recorded in
+    `skipped` with the reason of its first failure: the failing regularity
+    flag, `non-finite jet`, or one of SKIP_REASONS.  A pushforward point that
+    fails before its image is known is recorded at its source grid point.
+    Rows and skipped points are in grid-index order, so the cloud is
+    deterministic.
     """
     if any(int(n) < 2 for n in grid):
         raise ValueError("grid counts must be >= 2")
-    transformed = hasattr(system, "jet_at_source")
+    transformed = hasattr(system, "taylor_at_source")
     box = system.source_domain if transformed else system.domain
-    params = box.grid(grid)
-    step = max(1, len(params) // DIFFERENTIAL_PATCHES)
+    params = np.array(box.grid(grid))
+    n = len(params)
+    index = np.arange(n)
+    with_diff = index % max(1, n // DIFFERENTIAL_PATCHES) == 0
 
-    pts, vecs, diffs, skipped = [], [], [], []
-    for idx, param in enumerate(params):
-        degree = 1 if idx % step == 0 else 0
-        point = param
-        try:
-            if transformed:
-                point, jet = system.jet_at_source(param, 4 + degree)
-            else:
-                jet = system_jet(system, param, 4 + degree)
-            series = signature_series(jet.to_taylor(), degree, eps)
-        except NonRegular as exc:
-            skipped.append((tuple(point), exc.flag))
-            continue
-        except tuple(SKIP_REASONS) as exc:
-            skipped.append((tuple(point), SKIP_REASONS[type(exc)]))
-            continue
-        pts.append(tuple(point))
-        vecs.append([c.const for c in series])
-        if degree:
-            diffs.append([[c.partial(e) for e in _AXES] for c in series])
-    if not pts:
+    points = params.copy()       # image points, once they are known
+    vectors = np.zeros((n, len(SIGNATURE_COMPONENTS)))
+    diffs = np.zeros((n, len(SIGNATURE_COMPONENTS), 3))
+    reasons = [None] * n
+    with np.errstate(all="ignore"):
+        for degree, chosen in ((1, index[with_diff]), (0, index[~with_diff])):
+            for start in range(0, chosen.size, BLOCK_COLUMNS):
+                _evaluate_block(system, transformed, params,
+                                chosen[start:start + BLOCK_COLUMNS], degree,
+                                eps, points, vectors, diffs, reasons)
+
+    kept = np.array([r is None for r in reasons])
+    skipped = [(tuple(map(float, points[i])), reasons[i])
+               for i in np.flatnonzero(~kept)]
+    if not kept.any():
         raise EmptyCloud("no regular grid point in the sampled domain "
                          "(%d skipped)" % len(skipped))
-
-    points = np.asarray(pts)
+    cloud_points = points[kept]
     cloud = SignatureCloud(
         system_id=system_id or getattr(system, "name", "system"),
-        points=points, vectors=np.asarray(vecs), skipped=skipped,
-        jacobians=(np.asarray(diffs) * _spread(points) if diffs else None))
+        points=cloud_points, vectors=vectors[kept], skipped=skipped,
+        jacobians=(diffs[kept & with_diff] * _spread(cloud_points)
+                   if (kept & with_diff).any() else None))
     try:
         cloud.intrinsic_dim = intrinsic_dimension(cloud)
     except TooFewSamples:
@@ -133,6 +138,53 @@ def build_cloud(system, grid, eps=EPS_REG, system_id=None) -> SignatureCloud:
         cloud.chart_margins = chart_margins(cloud)
         cloud.chart = select_chart(cloud)
     return cloud
+
+
+def _evaluate_block(system, transformed, params, idx, degree, eps,
+                    points, vectors, diffs, reasons):
+    """Signature values (and at degree 1 differentials) of the grid points
+    `idx`, written into the rows `idx` of the output arrays.
+
+    A failure is recorded for the columns it names, with `reasons[i]`, and
+    the rest of the block is evaluated again; each check sees the columns in
+    the same program order as one point would, so every point keeps the
+    reason a per-point evaluation gives it.
+    """
+    while idx.size:
+        base = tuple(params[idx].T)
+        try:
+            q, f_tv = (system.taylor_at_source(base, 4 + degree) if transformed
+                       else (base, system.taylor(base, 4 + degree)))
+        except _SKIPPED as exc:
+            idx = idx[_record_failure(exc, idx, reasons)]
+            continue
+        points[idx] = np.column_stack(q)
+        break
+    while idx.size:
+        try:
+            series = signature_series(f_tv, degree, eps)
+        except _SKIPPED as exc:
+            rest = _record_failure(exc, idx, reasons)
+            f_tv, idx = f_tv.select(rest), idx[rest]
+            continue
+        vectors[idx] = np.column_stack([c.const for c in series])
+        if degree:
+            diffs[idx] = np.moveaxis(
+                np.array([[c.partial(e) for e in _AXES] for c in series]),
+                -1, 0)
+        return
+
+
+def _record_failure(exc, idx, reasons):
+    """Record the reason of a batch failure for the columns it names (all of
+    them when it names none); return the mask of the other columns."""
+    reason = (exc.flag if isinstance(exc, NonRegular)
+              else SKIP_REASONS[type(exc)])
+    rest = np.ones(idx.size, dtype=bool)
+    rest[slice(None) if exc.columns is None else exc.columns] = False
+    for i in idx[~rest]:
+        reasons[i] = reason
+    return rest
 
 
 def _spread(values, floor=1e-12):

@@ -79,8 +79,9 @@ class SystemDef:
         return float(self.expr({"x": p[0], "u": p[1], "u1": p[2]}))
 
     def taylor(self, p, degree) -> TaylorValue:
-        """Degree-`degree` expansion of F at `p`."""
-        xv, uv, wv = lift_variables(tuple(map(float, p)), degree)
+        """Degree-`degree` expansion of F at `p`: one point, or a batch given
+        as three arrays (x, u, u1) of one length."""
+        xv, uv, wv = lift_variables(p, degree)
         out = self.expr({"x": xv, "u": uv, "u1": wv})
         if not isinstance(out, TaylorValue):
             out = TaylorValue.constant(float(out), xv.point, degree)

@@ -9,6 +9,14 @@ the evaluation pipeline.
 
 Multi-indices are ordered graded-lexicographically, so the coefficients of a
 degree-``D`` value are a prefix of the coefficients of any higher degree.
+
+A value is either one series (coefficients of shape ``(n_terms,)`` at a
+point of three floats) or a batch of N series stored coefficient-major
+(shape ``(n_terms, N)`` at a point of three length-N arrays).  Every
+operation acts on the columns of a batch independently and gives each
+column the bits the same operation gives one series.  A check that fails
+in some columns of a batch raises its usual error with those columns in
+``columns`` (see :func:`fbsig.errors.check_columns`).
 """
 
 from __future__ import annotations
@@ -17,8 +25,10 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
-from .errors import DivisionBySingular, DomainError, OrderExceeded
+from .errors import (DivisionBySingular, DomainError, OrderExceeded, at,
+                     check_columns)
 
 #: Largest supported truncation degree.  The 14-component signature needs
 #: degree 4 and its exact differential degree 5; a degree-5 pushforward lifts
@@ -93,28 +103,77 @@ def _factorial_products(degree: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _scatter(degree: int):
+    """Sparse 0/1 matrix summing the product terms of `_mul_table` per output
+    coefficient, in the order of the table."""
+    _, _, iout = _mul_table(degree)
+    return sparse.csr_matrix(
+        (np.ones(iout.size), (iout, np.arange(iout.size))),
+        shape=(n_terms(degree), iout.size))
+
+
 def _raw_mul(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
     ia, ib, iout = _mul_table(degree)
-    out = np.zeros(a.shape[0])
-    np.add.at(out, iout, a[ia] * b[ib])
+    terms = a[ia] * b[ib]
+    if a.ndim == 1:
+        return np.bincount(iout, terms, minlength=a.shape[0])
+    return _scatter(degree) @ terms
+
+
+def _as_point(point):
+    """Three floats, or for a batch three read-only float arrays of one
+    length; an already normalized batch point is returned as it is, so that
+    series built on it can be checked for compatibility by identity."""
+    if all(np.ndim(c) == 0 for c in point):
+        return tuple(float(c) for c in point)
+    if (type(point) is tuple and len(point) == 3
+            and all(isinstance(c, np.ndarray) and c.dtype == float
+                    and c.ndim == 1 and not c.flags.writeable for c in point)
+            and point[0].shape == point[1].shape == point[2].shape):
+        return point
+    out = tuple(np.array(c, dtype=float) for c in point)
+    if len(out) != 3 or any(c.ndim != 1 or c.shape != out[0].shape
+                            for c in out):
+        raise ValueError("a batch point is three arrays of one length")
+    for c in out:
+        c.flags.writeable = False
     return out
 
 
+def _same_point(p, q):
+    if p is q:
+        return True
+    if type(p[0]) is float or type(q[0]) is float:
+        return p == q
+    return all(a is b or np.array_equal(a, b) for a, b in zip(p, q))
+
+
 class TaylorValue:
-    """Immutable truncated power series at a base point in (x, u, u1)."""
+    """Immutable truncated power series at a base point in (x, u, u1), or a
+    batch of them, one column per base point."""
 
     __slots__ = ("point", "degree", "coeffs")
+
+    #: numpy operands defer to the series operators (array * series is a
+    #: per-column scaling, not an object array).
+    __array_ufunc__ = None
 
     def __init__(self, point, degree, coeffs):
         if degree < 0 or degree > MAX_DEGREE:
             raise ValueError("degree must be in 0..%d" % MAX_DEGREE)
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (n_terms(degree),):
-            raise ValueError("expected %d coefficients for degree %d"
-                             % (n_terms(degree), degree))
-        coeffs = coeffs.copy()
+        coeffs = np.array(coeffs, dtype=float)
+        point = _as_point(point)
+        shape = (n_terms(degree),)
+        if type(point[0]) is not float:
+            shape += point[0].shape
+        if coeffs.shape != shape:
+            raise ValueError("expected %d coefficients for degree %d%s"
+                             % (n_terms(degree), degree,
+                                "" if len(shape) == 1 else
+                                " in each of %d columns" % shape[1]))
         coeffs.flags.writeable = False
-        object.__setattr__(self, "point", tuple(float(c) for c in point))
+        object.__setattr__(self, "point", point)
         object.__setattr__(self, "degree", int(degree))
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -122,9 +181,9 @@ class TaylorValue:
     def _trusted(cls, point, degree, coeffs):
         """Wrap a result of arithmetic without validating or copying.
 
-        `point` must already be a tuple of floats, `degree` a valid int and
-        `coeffs` a float array of the matching length that no other code
-        writes to.
+        `point` must already be normalized (as by the constructor), `degree`
+        a valid int and `coeffs` a float array of the matching shape that no
+        other code writes to.
         """
         coeffs.flags.writeable = False
         obj = object.__new__(cls)
@@ -140,14 +199,17 @@ class TaylorValue:
 
     @classmethod
     def constant(cls, value, point, degree):
-        c = np.zeros(n_terms(degree))
+        """A constant series; for a batch point `value` may be per column."""
+        point = _as_point(point)
+        c = np.zeros((n_terms(degree),) + np.shape(point[0]))
         c[0] = value
         return cls(point, degree, c)
 
     @classmethod
     def variable(cls, axis, point, degree):
         """The coordinate function of the given axis (0=x, 1=u, 2=u1)."""
-        c = np.zeros(n_terms(degree))
+        point = _as_point(point)
+        c = np.zeros((n_terms(degree),) + np.shape(point[0]))
         c[0] = point[axis]
         if degree >= 1:
             e = [0, 0, 0]
@@ -155,21 +217,36 @@ class TaylorValue:
             c[index_map(degree)[tuple(e)]] = 1.0
         return cls(point, degree, c)
 
+    def _const(self, value):
+        """Trusted constant series at this point; `value` may be per column."""
+        c = np.zeros(self.coeffs.shape)
+        c[0] = value
+        return TaylorValue._trusted(self.point, self.degree, c)
+
+    def _factor(self, value):
+        """A scalar operand: a float, or for a batch also one per column."""
+        if self.coeffs.ndim == 1:
+            return float(value)
+        return np.asarray(value, dtype=float)
+
     # -- basic queries ----------------------------------------------------
 
     @property
-    def const(self) -> float:
-        """Value of the series at the base point."""
-        return float(self.coeffs[0])
+    def const(self):
+        """Value of the series at the base point (per column for a batch)."""
+        if self.coeffs.ndim == 1:
+            return float(self.coeffs[0])
+        return self.coeffs[0]
 
-    def partial(self, sigma) -> float:
+    def partial(self, sigma):
         """The partial derivative d^|sigma| / dx^i du^j du1^l at the point."""
         sigma = tuple(int(s) for s in sigma)
         if sum(sigma) > self.degree:
             raise OrderExceeded("partial %s exceeds degree %d"
                                 % (sigma, self.degree))
         pos = index_map(self.degree)[sigma]
-        return float(self.coeffs[pos] * _factorial_products(self.degree)[pos])
+        value = self.coeffs[pos] * _factorial_products(self.degree)[pos]
+        return float(value) if self.coeffs.ndim == 1 else value
 
     def truncated(self, degree: int) -> "TaylorValue":
         """Drop all coefficients of order above `degree`."""
@@ -184,18 +261,32 @@ class TaylorValue:
         if self.degree == 0:
             raise OrderExceeded("cannot differentiate a degree-0 series")
         src, dst, fac = _deriv_table(self.degree, axis)
-        out = np.zeros(n_terms(self.degree - 1))
+        if self.coeffs.ndim == 2:
+            fac = fac[:, None]
+        out = np.zeros((n_terms(self.degree - 1),) + self.coeffs.shape[1:])
         out[dst] = self.coeffs[src] * fac
         return TaylorValue._trusted(self.point, self.degree - 1, out)
 
+    def select(self, columns) -> "TaylorValue":
+        """The batch restricted to the given columns (indices or a mask)."""
+        if self.coeffs.ndim == 1:
+            raise ValueError("select needs a batch")
+        point = _as_point(tuple(c[columns] for c in self.point))
+        return TaylorValue._trusted(point, self.degree,
+                                    self.coeffs[:, columns])
+
     def __repr__(self):
+        if self.coeffs.ndim == 2:
+            return ("TaylorValue(batch of %d points, degree=%d)"
+                    % (self.coeffs.shape[1], self.degree))
         return ("TaylorValue(point=%r, degree=%d, const=%.6g)"
                 % (self.point, self.degree, self.const))
 
     # -- arithmetic -------------------------------------------------------
 
     def _compat(self, other):
-        if self.point != other.point or self.degree != other.degree:
+        if self.degree != other.degree or not _same_point(self.point,
+                                                          other.point):
             raise ValueError(
                 "mixed Taylor arithmetic: points %r/%r, degrees %d/%d"
                 % (self.point, other.point, self.degree, other.degree))
@@ -204,7 +295,7 @@ class TaylorValue:
         if isinstance(value, TaylorValue):
             self._compat(value)
             return value
-        return _constant(float(value), self.point, self.degree)
+        return self._const(self._factor(value))
 
     def __add__(self, other):
         other = self._lift(other)
@@ -227,7 +318,7 @@ class TaylorValue:
     def __mul__(self, other):
         if not isinstance(other, TaylorValue):
             return TaylorValue._trusted(self.point, self.degree,
-                                        self.coeffs * float(other))
+                                        self.coeffs * self._factor(other))
         self._compat(other)
         return TaylorValue._trusted(
             self.point, self.degree,
@@ -237,26 +328,25 @@ class TaylorValue:
 
     def reciprocal(self) -> "TaylorValue":
         c0 = self.const
-        if abs(c0) <= DIV_EPS:
-            raise DivisionBySingular(
-                "division by series with zero constant term")
+        check_columns(abs(c0) <= DIV_EPS, lambda i: DivisionBySingular(
+            "division by series with zero constant term"))
         # 1/b = (1/c0) * sum (-r)^k  with r = (b - c0)/c0, truncated Horner
         r = (self - c0) * (1.0 / c0)
-        s = _constant(1.0, self.point, self.degree)
+        s = self._const(1.0)
         for _ in range(self.degree):
             s = 1.0 - r * s
         return s * (1.0 / c0)
 
     def __truediv__(self, other):
         if not isinstance(other, TaylorValue):
-            d = float(other)
-            if abs(d) <= DIV_EPS:
-                raise DivisionBySingular("division by zero scalar")
+            d = self._factor(other)
+            check_columns(abs(d) <= DIV_EPS, lambda i: DivisionBySingular(
+                "division by zero scalar"))
             return self * (1.0 / d)
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
-        return self.reciprocal() * float(other)
+        return self.reciprocal() * other
 
     def pow_int(self, n: int) -> "TaylorValue":
         """Integer power by repeated multiplication (negative n via 1/b)."""
@@ -265,7 +355,7 @@ class TaylorValue:
         n = int(n)
         if n < 0:
             return self.reciprocal().pow_int(-n)
-        out = _constant(1.0, self.point, self.degree)
+        out = self._const(1.0)
         base = self
         while n > 0:
             if n & 1:
@@ -278,26 +368,38 @@ class TaylorValue:
         return self.pow_int(n)
 
 
-def _constant(value, point, degree):
-    """Trusted constant series at an already normalized point."""
-    c = np.zeros(n_terms(degree))
-    c[0] = value
-    return TaylorValue._trusted(point, degree, c)
-
-
 def lift_variables(point, degree):
-    """The coordinate functions x, u, u1 as degree-`degree` series at `point`."""
+    """The coordinate functions x, u, u1 as degree-`degree` series at `point`
+    (three floats, or three arrays of one length for a batch)."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    point = _as_point(point)
     return tuple(TaylorValue.variable(axis, point, degree) for axis in range(3))
 
 
 # -- univariate coefficient helpers for elementary functions ---------------
 
 
+def _libm(fn: str, x, *args):
+    """math.`fn` of a float, or of every entry of a batch array.
+
+    numpy's own exp, log, atan and power differ from libm in the last bit
+    for a few percent of inputs, so a batch makes the libm calls of the
+    scalar path.  A range error gives numpy's value (inf or nan) instead of
+    an exception; the finiteness check of the jet then names the point.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([_libm(fn, v, *args) for v in x.tolist()])
+    try:
+        return getattr(math, fn)(x, *args)
+    except (OverflowError, ValueError):
+        with np.errstate(all="ignore"):
+            return float(getattr(np, "power" if fn == "pow" else fn)(x, *args))
+
+
 def _urecip(p: np.ndarray, order: int) -> np.ndarray:
     """Coefficients of 1/p(t) to the given order; p[0] must be nonzero."""
-    q = np.zeros(order + 1)
+    q = np.zeros((order + 1,) + np.shape(p[0]))
     q[0] = 1.0 / p[0]
     for n in range(1, order + 1):
         acc = 0.0
@@ -307,46 +409,47 @@ def _urecip(p: np.ndarray, order: int) -> np.ndarray:
     return q
 
 
-def _ucoeffs(fn: str, c0: float, order: int) -> np.ndarray:
-    """Taylor coefficients of fn about c0: fn(c0 + t) = sum d_k t^k."""
-    d = np.empty(order + 1)
+def _ucoeffs(fn: str, c0, order: int) -> np.ndarray:
+    """Taylor coefficients of fn about c0: fn(c0 + t) = sum d_k t^k.
+
+    `c0` is a float, or one value per column of a batch; then row k of the
+    result holds the coefficients d_k of every column.
+    """
+    d = np.empty((order + 1,) + np.shape(c0))
     if fn == "exp":
-        e = math.exp(c0)
+        e = _libm("exp", c0)
         for k in range(order + 1):
             d[k] = e / math.factorial(k)
     elif fn == "log":
-        if c0 <= 0.0:
-            raise DomainError("log of non-positive constant term %g" % c0)
-        d[0] = math.log(c0)
+        check_columns(c0 <= 0.0, lambda i: DomainError(
+            "log of non-positive constant term %g" % at(c0, i)))
+        d[0] = _libm("log", c0)
         for k in range(1, order + 1):
-            d[k] = (-1.0) ** (k - 1) / (k * c0 ** k)
+            d[k] = (-1.0) ** (k - 1) / (k * _libm("pow", c0, k))
     elif fn == "sqrt":
-        if c0 <= 0.0:
-            raise DomainError("sqrt of non-positive constant term %g" % c0)
-        r = math.sqrt(c0)
+        check_columns(c0 <= 0.0, lambda i: DomainError(
+            "sqrt of non-positive constant term %g" % at(c0, i)))
+        r = _libm("sqrt", c0)
         # binomial series: sqrt(c0) * C(1/2, k) / c0^k
         coeff = 1.0
         for k in range(order + 1):
-            d[k] = r * coeff / c0 ** k
+            d[k] = r * coeff / _libm("pow", c0, k)
             coeff *= (0.5 - k) / (k + 1)
-    elif fn == "sin":
-        table = (math.sin(c0), math.cos(c0), -math.sin(c0), -math.cos(c0))
-        for k in range(order + 1):
-            d[k] = table[k % 4] / math.factorial(k)
-    elif fn == "cos":
-        table = (math.cos(c0), -math.sin(c0), -math.cos(c0), math.sin(c0))
+    elif fn in ("sin", "cos"):
+        s, c = _libm("sin", c0), _libm("cos", c0)
+        table = (s, c, -s, -c) if fn == "sin" else (c, -s, -c, s)
         for k in range(order + 1):
             d[k] = table[k % 4] / math.factorial(k)
     elif fn == "atan":
         # y' = 1/(1 + (c0+t)^2), integrated term by term
-        p = np.zeros(order + 1)
+        p = np.zeros((order + 1,) + np.shape(c0))
         p[0] = 1.0 + c0 * c0
         if order >= 1:
             p[1] = 2.0 * c0
         if order >= 2:
             p[2] = 1.0
         q = _urecip(p, max(order - 1, 0))
-        d[0] = math.atan(c0)
+        d[0] = _libm("atan", c0)
         for k in range(1, order + 1):
             d[k] = q[k - 1] / k
     else:
@@ -362,7 +465,7 @@ def compose_elementary(fn: str, a: TaylorValue) -> TaylorValue:
         return compose_elementary("sin", a) / compose_elementary("cos", a)
     d = _ucoeffs(fn, a.const, a.degree)
     h = a - a.const
-    out = _constant(d[a.degree], a.point, a.degree)
+    out = a._const(d[a.degree])
     for k in range(a.degree - 1, -1, -1):
         out = out * h + d[k]
     return out
@@ -374,7 +477,8 @@ def poly_compose(poly: TaylorValue, args) -> TaylorValue:
     `poly` is read as a polynomial in its own offsets; `args` are three
     TaylorValues (sharing a base point and degree) giving those offsets as
     functions of the new variables.  Returns the composition truncated at
-    the degree of `args`.
+    the degree of `args`.  In a batch, a coefficient of `poly` is skipped
+    only when it is zero in every column.
     """
     s1, s2, s3 = args
     s1._compat(s2)
@@ -382,15 +486,17 @@ def poly_compose(poly: TaylorValue, args) -> TaylorValue:
     degree = s1.degree
     pows = []
     for s in (s1, s2, s3):
-        ps = [_constant(1.0, s1.point, degree)]
+        ps = [s1._const(1.0)]
         for _ in range(poly.degree):
             ps.append(ps[-1] * s)
         pows.append(ps)
-    acc = np.zeros(n_terms(degree))
+    zero = poly.coeffs == 0.0
+    if zero.ndim == 2:
+        zero = zero.all(axis=1)
+    acc = np.zeros(s1.coeffs.shape)
     for pos, (i, j, l) in enumerate(simplex(poly.degree)):
-        c = poly.coeffs[pos]
-        if c == 0.0:
+        if zero[pos]:
             continue
         term = pows[0][i] * pows[1][j] * pows[2][l]
-        acc = acc + c * term.coeffs
+        acc = acc + poly.coeffs[pos] * term.coeffs
     return TaylorValue._trusted(s1.point, degree, acc)

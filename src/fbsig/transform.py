@@ -7,7 +7,7 @@ Its prolonged action on base points is
 
 and the transformed system G is pinned down by G(Psi(p)) = X'(x) F(p) for the
 prolonged map Psi above.  G generally has no closed form, so it is exposed as
-a jet provider: the degree-`order` jet of G at Psi(p) is obtained by
+a series provider: the degree-`order` series of G at Psi(p) is obtained by
 composing the series of X' F with the truncated inverse of the series of Psi
 (solved degree by degree against the Jacobian).
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SingularTransform
+from .errors import ConfigError, SingularTransform, at, check_columns
 from .expr import Expression, parse, substitute, to_string
 from .invariants import Jet
 from .systems import Box
@@ -40,8 +40,9 @@ class FeedbackMap:
 
 
 def _xu_series(mapping: FeedbackMap, point, degree):
-    """Series of X, X', U, U_x, U_u at the base point, at the given degree."""
-    xl, ul, _ = lift_variables(tuple(map(float, point)), degree + 1)
+    """Series of X, X', U, U_x, U_u at the base point (or batch), at the
+    given degree."""
+    xl, ul, _ = lift_variables(point, degree + 1)
     X_hi = mapping.X({"x": xl})
     if not isinstance(X_hi, TaylorValue):
         X_hi = TaylorValue.constant(float(X_hi), xl.point, degree + 1)
@@ -59,24 +60,32 @@ def pushforward_point(mapping: FeedbackMap, system, p):
     return (X.const, U.const, Ux.const * fval + Uu.const * float(p[2]))
 
 
+#: A prolonged Jacobian with a condition number above this is singular.
+COND_MAX = 1e12
+
+
 def _invert_series(psi, q0):
     """Series inverse of Psi around its base point, degree by degree.
 
     `psi` are the three component series at the source point; the result are
     three series at `q0 = Psi(p)` expressing the source offsets in terms of
-    the image offsets, correct to the common truncation degree.
+    the image offsets, correct to the common truncation degree.  In a batch
+    every column has its own Jacobian.
     """
     degree = psi[0].degree
     pos = index_map(degree)
     e = [pos[(1, 0, 0)], pos[(0, 1, 0)], pos[(0, 0, 1)]] if degree >= 1 else []
-    jac = np.zeros((3, 3))
-    for i in range(3):
-        for m in range(3):
-            jac[i, m] = psi[i].coeffs[e[m]]
-    cond = np.linalg.cond(jac)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularTransform(
-            "prolonged Jacobian is singular (condition %.3e)" % cond)
+    # jac[..., i, m] = d psi_i / d p_m, one 3x3 matrix per column
+    jac = np.moveaxis(np.array([[psi[i].coeffs[e[m]] for m in range(3)]
+                                for i in range(3)]), (0, 1), (-2, -1))
+    stack = jac.reshape(-1, 3, 3)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    cond = np.full(len(stack), np.inf)
+    if finite.any():
+        cond[finite] = np.linalg.cond(stack[finite])
+    cond = cond.reshape(jac.shape[:-2])
+    check_columns(~(cond <= COND_MAX), lambda i: SingularTransform(
+        "prolonged Jacobian is singular (condition %.3e)" % at(cond, i)))
     jinv = np.linalg.inv(jac)
 
     qdev = [TaylorValue.variable(m, q0, degree) - q0[m] for m in range(3)]
@@ -88,11 +97,11 @@ def _invert_series(psi, q0):
         c[0] = 0.0
         for m in range(3):
             c[e[m]] = 0.0
-        nonlin.append(TaylorValue(psi[i].point, degree, c))
+        nonlin.append(TaylorValue._trusted(psi[i].point, degree, c))
 
     def linear_solve(rhs):
-        return [jinv[m, 0] * rhs[0] + jinv[m, 1] * rhs[1] + jinv[m, 2] * rhs[2]
-                for m in range(3)]
+        return [jinv[..., m, 0] * rhs[0] + jinv[..., m, 1] * rhs[1]
+                + jinv[..., m, 2] * rhs[2] for m in range(3)]
 
     xi = linear_solve(qdev)
     for _ in range(max(degree - 1, 0)):
@@ -102,7 +111,10 @@ def _invert_series(psi, q0):
 
 
 def transformed_taylor(mapping: FeedbackMap, f_tv: TaylorValue):
-    """(image point, series of the transformed system G at the image point)."""
+    """(image point, series of the transformed system G at the image point).
+
+    For a batch `f_tv` the image point is three arrays, one entry per column.
+    """
     p = f_tv.point
     degree = f_tv.degree
     X, Xp, U, Ux, Uu = _xu_series(mapping, p, degree)
@@ -123,10 +135,10 @@ def transformed_jet(mapping: FeedbackMap, system, p, order) -> Jet:
 
 
 class TransformedSystem:
-    """The pushforward of a system, exposed as a jet provider.
+    """The pushforward of a system, exposed as a series provider.
 
     There is no closed-form expression for the transformed right-hand side,
-    so jets are produced per source point; grids are sampled on the source
+    so series are produced at source points; grids are sampled on the source
     domain and mapped forward.
     """
 
@@ -144,29 +156,30 @@ class TransformedSystem:
             base = base.base
         return base.domain
 
-    def jet_at_source(self, p, order):
-        """(image point, jet of the transformed system there).
+    def taylor_at_source(self, p, degree):
+        """(image point, series of the transformed system there).
 
-        `p` is a point of the source parametrization; for nested transforms
-        it refers to the innermost system's domain.
+        `p` is a point of the source parametrization, or a batch of them as
+        three arrays; for nested transforms it refers to the innermost
+        system's domain.
         """
         if isinstance(self.base, TransformedSystem):
-            _, jet = self.base.jet_at_source(p, order)
-            f_tv = jet.to_taylor()
+            _, f_tv = self.base.taylor_at_source(p, degree)
         else:
-            f_tv = self.base.taylor(p, order)
-        q, g_tv = transformed_taylor(self.mapping, f_tv)
-        return q, Jet.from_taylor(g_tv)
+            f_tv = self.base.taylor(p, degree)
+        return transformed_taylor(self.mapping, f_tv)
 
-    def jet_grid(self, counts, order):
-        for p in self.source_domain.grid(counts):
-            yield self.jet_at_source(p, order)
+    def jet_at_source(self, p, order):
+        """(image point, jet of the transformed system there) at one point."""
+        q, g_tv = self.taylor_at_source(p, order)
+        return q, Jet.from_taylor(g_tv)
 
     def image_box(self, counts=(5, 5, 5)) -> Box:
         """Bounding box of the sampled image of the source domain."""
-        pts = np.array([q for q, _ in self.jet_grid(counts, 0)])
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        return Box(x=(lo[0], hi[0]), u=(lo[1], hi[1]), u1=(lo[2], hi[2]))
+        grid = np.array(self.source_domain.grid(counts))
+        q, _ = self.taylor_at_source(tuple(grid.T), 0)
+        return Box(x=(q[0].min(), q[0].max()), u=(q[1].min(), q[1].max()),
+                   u1=(q[2].min(), q[2].max()))
 
 
 @dataclass(frozen=True)
@@ -192,16 +205,15 @@ def invertibility_check(mapping: FeedbackMap, domain=None, n_samples=9,
     pts = [(x, u) for x in xs for u in us]
     pts += [(rng.uniform(xlo, xhi), rng.uniform(ulo, uhi))
             for _ in range(n_samples)]
-    min_xp, min_uu, violation = np.inf, np.inf, None
-    for (x, u) in pts:
-        _, Xp, _, _, Uu = _xu_series(mapping, (float(x), float(u), 0.0), 0)
-        axp, auu = abs(Xp.const), abs(Uu.const)
-        min_xp = min(min_xp, axp)
-        min_uu = min(min_uu, auu)
-        if violation is None and (axp <= eps or auu <= eps):
-            violation = (float(x), float(u))
-    return InvertibilityReport(ok=violation is None, min_abs_xp=float(min_xp),
-                               min_abs_uu=float(min_uu), violation=violation)
+    xs = np.array([x for x, _ in pts], dtype=float)
+    us = np.array([u for _, u in pts], dtype=float)
+    _, Xp, _, _, Uu = _xu_series(mapping, (xs, us, np.zeros(xs.size)), 0)
+    axp, auu = np.abs(Xp.const), np.abs(Uu.const)
+    bad = np.flatnonzero((axp <= eps) | (auu <= eps))
+    violation = (float(xs[bad[0]]), float(us[bad[0]])) if bad.size else None
+    return InvertibilityReport(ok=violation is None,
+                               min_abs_xp=float(axp.min()),
+                               min_abs_uu=float(auu.min()), violation=violation)
 
 
 def compose_maps(outer: FeedbackMap, inner: FeedbackMap) -> FeedbackMap:

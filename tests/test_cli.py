@@ -25,6 +25,8 @@ CONFIG = {
                  "domain": {"x": [1e-6, 1], "u": [-1, 1], "u1": [1, 2]}},
         "logu1": {"f": "log(u1) + x",
                   "domain": {"x": [1, 2], "u": [-1, 1], "u1": [-1, 2]}},
+        "overflow": {"f": "u1^2 + 1e-300*exp(1000*x)",
+                     "domain": {"x": [0, 1], "u": [-1, 1], "u1": [1, 2]}},
     },
     "maps": {
         "double": {"X": "2*x", "U": "u"},
@@ -66,6 +68,17 @@ def test_invariants_nonregular_row(config_path):
                       "--system", "sq", "--point", "0,0,0"])
     assert code == 0
     assert "no(f" in text
+
+
+def test_invariants_non_finite_jet(config_path):
+    # u1^2 overflows at u1 = 1e308: named as such, without numpy warnings
+    code, text = run(["invariants", "--config", config_path, "--system", "sq",
+                      "--point=1e308,0,1e308", "--point", "0,0,1"])
+    assert code == 0
+    rows = [line.split("\t") for line in text.splitlines()[1:]]
+    assert rows[0][3] == "no(non-finite jet)"
+    assert rows[0][4:] == ["-"] * 8
+    assert rows[1][3] == "yes"
 
 
 def test_invariants_missing_system(config_path):
@@ -124,6 +137,19 @@ def test_signature_records_domain_errors(config_path, tmp_path):
     assert len(skipped) == 51
     assert all(line.split(",")[2] in ("-1", "-0.25") for line in skipped[1:])
     assert all(line.endswith(",domain error") for line in skipped[1:])
+
+
+def test_signature_records_non_finite_jets(config_path, tmp_path):
+    # exp(1000*x) overflows on the x = 0.75 and x = 1 grid planes only
+    out_csv = str(tmp_path / "overflow.csv")
+    code, text = run(["signature", "--config", config_path,
+                      "--system", "overflow", "--out", out_csv])
+    assert code == 0, text
+    assert "samples: 75 (skipped 50)" in text
+    skipped = open(str(tmp_path / "overflow_skipped.csv")).read().splitlines()
+    assert len(skipped) == 51
+    assert all(line.split(",")[0] in ("0.75", "1") for line in skipped[1:])
+    assert all(line.endswith(",non-finite jet") for line in skipped[1:])
 
 
 @pytest.mark.parametrize("patch, extra", [

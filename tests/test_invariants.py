@@ -70,6 +70,17 @@ def test_regularity_examples():
     assert not flags.denom_nonzero and not flags.fu1u1_nonzero
 
 
+def test_non_finite_jet_fails_as_a_whole():
+    with np.errstate(all="ignore"):
+        jet = system_jet(S("exp(u1)"), (0.0, 0.0, 800.0), 4)
+    flags = regularity(jet)
+    assert not flags.finite and not flags.all_ok
+    assert flags.failing() == ("non-finite jet",)
+    with pytest.raises(NonRegular) as exc:
+        eval_J(jet)
+    assert exc.value.flag == "non-finite jet"
+
+
 # -- J ------------------------------------------------------------------------
 
 

@@ -201,3 +201,117 @@ def test_derivative_series():
     assert d.const == pytest.approx(2 * 0.3 * 0.4)
     assert d.partial((1, 0, 0)) == pytest.approx(2 * 0.4)
     assert d.partial((0, 1, 0)) == pytest.approx(2 * 0.3)
+
+
+# -- batches: one column per base point ----------------------------------------
+
+
+def _add_at_mul(a, b, degree):
+    """The truncated product by np.add.at, the reference for both kernels."""
+    from fbsig.taylor import _mul_table
+    ia, ib, iout = _mul_table(degree)
+    out = np.zeros(a.shape)
+    np.add.at(out, iout, a[ia] * b[ib])
+    return out
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_product_kernels_bit_identical_to_add_at(degree):
+    rng = np.random.default_rng(degree)
+    a = rng.standard_normal((n_terms(degree), 300))
+    b = rng.standard_normal((n_terms(degree), 300))
+    pts = tuple(rng.standard_normal(300) for _ in range(3))
+    batch = TaylorValue(pts, degree, a) * TaylorValue(pts, degree, b)
+    assert np.array_equal(batch.coeffs, _add_at_mul(a, b, degree))
+    for col in range(0, 300, 37):
+        p = tuple(c[col] for c in pts)
+        one = TaylorValue(p, degree, a[:, col]) * TaylorValue(p, degree, b[:, col])
+        assert np.array_equal(one.coeffs, batch.coeffs[:, col])
+
+
+def _columns(batch):
+    return [TaylorValue(tuple(c[k] for c in batch.point), batch.degree,
+                        batch.coeffs[:, k])
+            for k in range(batch.coeffs.shape[1])]
+
+
+def test_batch_operations_match_each_column():
+    rng = np.random.default_rng(5)
+    pts = (rng.uniform(0.5, 1.5, 8), rng.uniform(-1, 1, 8),
+           rng.uniform(1, 2, 8))
+    xv, uv, wv = lift_variables(pts, 4)
+    exprs = [
+        lambda x, u, w: (x * w + 2.0) / (1.0 + u * u),
+        lambda x, u, w: compose_elementary("exp", x * u) - 3.0 * w.pow_int(-2),
+        lambda x, u, w: compose_elementary("log", x) * compose_elementary(
+            "sqrt", w) + compose_elementary("atan", u),
+        lambda x, u, w: compose_elementary("tan", 0.3 * u) / w,
+        lambda x, u, w: ((1.0 - x * x).derivative(0).truncated(2)
+                         * w.truncated(3).derivative(2)),
+    ]
+    for fn in exprs:
+        batch = fn(xv, uv, wv)
+        assert batch.coeffs.shape[1] == 8
+        for k in range(8):
+            one = fn(*lift_variables(tuple(c[k] for c in pts), 4))
+            assert np.array_equal(one.coeffs, batch.coeffs[:, k])
+            assert one.point == tuple(float(c[k]) for c in batch.point)
+
+
+def test_batch_poly_compose_matches_each_column():
+    from fbsig import poly_compose
+    rng = np.random.default_rng(6)
+    pts = tuple(rng.uniform(-1, 1, 5) for _ in range(3))
+    poly_c = rng.standard_normal((n_terms(3), 5))
+    poly_c[4] = 0.0                   # zero in every column: skipped
+    poly_c[7, 2] = 0.0                # zero in one column only
+    poly = TaylorValue(pts, 3, poly_c)
+    args = [TaylorValue(pts, 3, rng.standard_normal((n_terms(3), 5)))
+            for _ in range(3)]
+    batch = poly_compose(poly, args)
+    for k, (p1, *a1) in enumerate(zip(_columns(poly), *map(_columns, args))):
+        assert np.array_equal(poly_compose(p1, a1).coeffs, batch.coeffs[:, k])
+
+
+def test_batch_failures_name_their_columns():
+    pts = (np.array([1.0, 2.0, 3.0]), np.zeros(3), np.array([0.0, 1.0, -1.0]))
+    xv, uv, wv = lift_variables(pts, 2)
+    with pytest.raises(DivisionBySingular) as exc:
+        1.0 / wv
+    assert list(exc.value.columns) == [0]
+    with pytest.raises(DomainError) as exc:
+        compose_elementary("log", wv)
+    assert list(exc.value.columns) == [0, 2]
+    assert "log of non-positive constant term 0" in str(exc.value)
+    # one point raises the same errors without columns
+    with pytest.raises(DivisionBySingular) as exc:
+        1.0 / lift_variables((1.0, 0.0, 0.0), 2)[2]
+    assert exc.value.columns is None
+
+
+def test_batch_select_and_validation():
+    pts = (np.arange(4.0), np.zeros(4), np.ones(4))
+    xv = lift_variables(pts, 1)[0]
+    two = xv.select(np.array([False, True, False, True]))
+    assert list(two.const) == [1.0, 3.0]
+    assert list(two.point[0]) == [1.0, 3.0]
+    with pytest.raises(ValueError):
+        TaylorValue(pts, 1, np.zeros((4, 3)))        # 3 columns, 4 points
+    with pytest.raises(ValueError):
+        xv + lift_variables((np.arange(4.0) + 1, np.zeros(4), np.ones(4)), 1)[0]
+    with pytest.raises(ValueError):
+        xv.select([0]).coeffs.__setitem__(0, 1.0)     # read-only
+    with pytest.raises(ValueError):
+        lift_variables((1.0, 2.0, 3.0), 1)[0].select([0])
+
+
+def test_overflow_gives_non_finite_columns_only():
+    pts = (np.array([1.0, 800.0]), np.zeros(2), np.ones(2))
+    xv = lift_variables(pts, 3)[0]
+    with np.errstate(all="ignore"):
+        e = compose_elementary("exp", xv) * xv
+    assert np.isfinite(e.coeffs[:, 0]).all()
+    assert not np.isfinite(e.coeffs[:, 1]).all()
+    one = compose_elementary("exp", lift_variables((1.0, 0.0, 1.0), 3)[0])
+    assert np.array_equal((one * lift_variables((1.0, 0.0, 1.0), 3)[0]).coeffs,
+                          e.coeffs[:, 0])

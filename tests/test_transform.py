@@ -149,6 +149,30 @@ def test_singular_transform_rejected():
         transformed_taylor(phi, system.taylor((0.0, 0.0, 1.0), 2))
 
 
+def test_singular_transform_names_its_columns():
+    system = SystemDef.from_strings(
+        "lin", "u1 + u1^2", {"x": [-1, 1], "u": [-1, 1], "u1": [0.5, 1.5]})
+    phi = FeedbackMap.from_strings("x", "u - x/3")
+    block = (np.zeros(3), np.zeros(3), np.array([0.5, 1.0, 1.5]))
+    with pytest.raises(SingularTransform) as exc:
+        transformed_taylor(phi, system.taylor(block, 2))
+    assert list(exc.value.columns) == [1]
+
+
+def test_taylor_at_source_batch_matches_points():
+    system = make_system("cubic")
+    box = (system.domain.x, system.domain.u)
+    inner = TransformedSystem(
+        FeedbackMap.from_strings("0.2 + 1.5*x", "0.1 + 2*u + 0.3*x"), system)
+    nested = TransformedSystem(random_feedback(4, box), inner)
+    pts = sample_regular_points(system, 6, seed=1)
+    q, g_tv = nested.taylor_at_source(tuple(np.array(pts).T), 4)
+    for k, p in enumerate(pts):
+        q_k, g_k = nested.taylor_at_source(p, 4)
+        assert q_k == tuple(float(c[k]) for c in q)
+        assert np.array_equal(g_k.coeffs, g_tv.coeffs[:, k])
+
+
 def test_random_feedback_determinism_and_variation():
     a = random_feedback(0)
     b = random_feedback(0)
