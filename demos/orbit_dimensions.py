@@ -7,8 +7,10 @@ by the invariant-count formulas.  Also shows the rank drop on a singular
 stratum and the inconsistency of the printed orbit-dimension expression.
 """
 
-from fbsig import orbit_rank, random_jet_point, invariant_counts
+from fbsig import (TaylorValue, orbit_rank, random_jet_point,
+                   invariant_counts)
 from fbsig.orbits import jet_space_dim, printed_orbit_dim
+from fbsig.taylor import index_map
 
 
 def main():
@@ -38,7 +40,10 @@ def main():
     print("=" * 72)
     print("Singular stratum: forcing f_u1 = 0 collapses the k=1 orbit")
     print("=" * 72)
-    jp = random_jet_point(2, seed=6).with_coord((0, 0, 1), 0.0)
+    jp = random_jet_point(2, seed=6)
+    values = jp.partials
+    values[index_map(2)[(0, 0, 1)]] = 0.0
+    jp = TaylorValue.from_partials(jp.point, 2, values)
     res = orbit_rank(1, jet_point=jp)
     print("rank at a point with f_u1 = 0: %d (regular value 7)" % res.rank)
 

@@ -15,13 +15,12 @@ from .errors import (ArityError, ConfigError, DependentBasis,
                      OrderExceeded, RelationViolation, SingularTransform,
                      TooFewSamples, UnknownIdentifier)
 from .expr import Expression, parse
-from .invariants import (SIGNATURE_COMPONENTS, DerivationField, Jet,
+from .invariants import (SIGNATURE_COMPONENTS, DerivationField,
                          RegularityFlags, SignatureVector, apply_nabla,
-                         bracket, bracket_scalars, eval_J, eval_K, nabla,
-                         nabla_from_taylor, pullback, pullback_from_taylor,
-                         regularity, signature_series, signature_vector,
-                         system_jet)
-from .orbits import (Generator, JetPoint, generating_function, orbit_rank,
+                         bracket, bracket_scalars, eval_J, eval_K,
+                         nabla_from_taylor, pullback_from_taylor, regularity,
+                         signature_series, signature_vector, system_jet)
+from .orbits import (Generator, generating_function, orbit_rank,
                      prolonged_vector, random_jet_point, invariant_counts)
 from .signature import (SignatureCloud, Verdict, build_cloud, compare,
                         export_cloud, intrinsic_dimension, select_chart,

@@ -35,7 +35,7 @@ import numpy as np
 from . import orbits
 from .errors import (ConfigError, EmptyCloud, ExpressionSyntaxError,
                      FbsigError, NonRegular)
-from .invariants import (Jet, bracket_scalars, eval_J, regularity,
+from .invariants import (bracket_scalars, eval_J, regularity,
                          signature_vector, system_jet)
 from .signature import (EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT,
                         build_cloud, compare, export_cloud)
@@ -229,13 +229,12 @@ def cmd_transform(cfg, args, out):
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for p in system.domain.grid(cfg.grid):
-            jet_f = system_jet(system, p, 4)
-            q, g_tv = transformed_taylor(mapping, system.taylor(p, 2))
-            jet_g_vals = [g_tv.partial(s) for s in simplex(2)]
+            jet_f = system.taylor(p, 2)
+            q, jet_g = transformed_taylor(mapping, jet_f)
             jf = eval_J(jet_f, cfg.eps_reg)
-            jg = eval_J(Jet.from_taylor(g_tv), cfg.eps_reg)
+            jg = eval_J(jet_g, cfg.eps_reg)
             max_err = max(max_err, abs(jg - jf) / (1.0 + abs(jf)))
-            row = [_fmt(c) for c in (*p, *q, *jet_g_vals, jf, jg)]
+            row = [_fmt(c) for c in (*p, *q, *jet_g.partials, jf, jg)]
             fh.write(",".join(row) + "\n")
     out.write("wrote %s\n" % path)
     out.write("max relative invariance error |J_G - J_F|/(1+|J_F|): %s\n"

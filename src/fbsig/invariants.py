@@ -7,12 +7,14 @@ signature vector
 
     (j, j1, j2, j3, j11, j12, j13, j22, j23, j33, k, k1, k2, k3).
 
-Every formula is evaluated generically over a "jet getter", so the same code
-path serves plain numbers (values at a point) and TaylorValues (pullbacks as
-truncated series in the base variables, at one point or at a batch of
-points, one column each).  The u1-coefficient of nabla_3
-carries the factor f on f_xu1; the variant without that factor fails the
-equivariance checks (see tests), so the corrected form is used throughout.
+A jet of a system at a point is its truncated series, a TaylorValue (see
+:mod:`fbsig.taylor`).  Every formula is evaluated generically over a "jet
+getter", so the same code path serves plain numbers (the partials of a jet
+at its point) and TaylorValues (pullbacks as truncated series in the base
+variables, at one point or at a batch of points, one column each).  The
+u1-coefficient of nabla_3 carries the factor f on f_xu1; the variant without
+that factor fails the equivariance checks (see tests), so the corrected form
+is used throughout.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import (NonRegular, OrderExceeded, RelationViolation, at,
                      check_columns)
-from .taylor import TaylorValue, index_map, n_terms, _factorial_products
+from .taylor import TaylorValue, index_map
 
 #: Default scaled magnitude below which a regularity flag fails.
 EPS_REG = 1e-8
@@ -33,61 +35,10 @@ SIGNATURE_COMPONENTS = ("j", "j1", "j2", "j3", "j11", "j12", "j13",
                         "j22", "j23", "j33", "k", "k1", "k2", "k3")
 
 
-class Jet:
-    """Partial derivatives f_sigma of a system at a point, up to `order`."""
-
-    __slots__ = ("point", "order", "values")
-
-    def __init__(self, point, order, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (n_terms(order),):
-            raise ValueError("expected %d jet entries for order %d"
-                             % (n_terms(order), order))
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "point", tuple(float(c) for c in point))
-        object.__setattr__(self, "order", int(order))
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Jet is immutable")
-
-    @classmethod
-    def from_taylor(cls, tv: TaylorValue) -> "Jet":
-        return cls(tv.point, tv.degree,
-                   tv.coeffs * _factorial_products(tv.degree))
-
-    def to_taylor(self, degree=None) -> TaylorValue:
-        degree = self.order if degree is None else degree
-        if degree > self.order:
-            raise OrderExceeded("jet order %d below requested degree %d"
-                                % (self.order, degree))
-        coeffs = self.values / _factorial_products(self.order)
-        return TaylorValue(self.point, degree, coeffs[:n_terms(degree)])
-
-    def partial(self, sigma) -> float:
-        sigma = tuple(int(s) for s in sigma)
-        if sum(sigma) > self.order:
-            raise OrderExceeded("partial %s exceeds jet order %d"
-                                % (sigma, self.order))
-        return float(self.values[index_map(self.order)[sigma]])
-
-    def __repr__(self):
-        return "Jet(point=%r, order=%d)" % (self.point, self.order)
-
-
-def system_jet(system, p, order) -> Jet:
-    """Jet of a system (anything with .taylor(p, degree)) at a point."""
-    return Jet.from_taylor(system.taylor(p, order))
-
-
-def _resolve_jet(source, p, order) -> Jet:
-    """Accept either a Jet or a (system, point) pair."""
-    if isinstance(source, Jet):
-        return source
-    if p is None:
-        raise TypeError("a base point is required with a system argument")
-    return system_jet(source, p, order)
+def system_jet(system, p, order) -> TaylorValue:
+    """Jet of a system (anything with .taylor(p, degree)) at a point: its
+    degree-`order` series."""
+    return system.taylor(p, order)
 
 
 # -- regularity ---------------------------------------------------------------
@@ -128,31 +79,22 @@ class RegularityFlags:
         return tuple(n for n, ok in zip(FLAG_NAMES, flags) if not ok)
 
 
-def _derivatives(source):
-    """All partials f_sigma of a Jet or a series (per column for a batch)."""
-    if isinstance(source, Jet):
-        return source.order, source.values
-    fac = _factorial_products(source.degree)
-    return source.degree, source.coeffs * (fac if source.coeffs.ndim == 1
-                                           else fac[:, None])
-
-
-def _finite_and_magnitudes(source):
+def _finite_and_magnitudes(jet):
     """(finite, scaled magnitudes of f, f_u1, f_u1u1, u1 f_u1 - f); the
     magnitudes are only computed where the derivatives are finite."""
-    order, values = _derivatives(source)
+    values = jet.partials
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():
         return finite, None
-    pos = index_map(order)
+    pos = index_map(jet.degree)
     f, fz, fzz = (values[pos[s]] for s in ((0, 0, 0), (0, 0, 1), (0, 0, 2)))
-    denom = source.point[2] * fz - f
+    denom = jet.point[2] * fz - f
     scale = np.maximum(np.maximum(1.0, abs(f)), abs(fz))
     return finite, tuple(abs(q) / scale for q in (f, fz, fzz, denom))
 
 
 def regularity(jet, eps=EPS_REG) -> RegularityFlags:
-    """Scaled nonvanishing flags of one point (a Jet, or a series).
+    """Scaled nonvanishing flags of a jet at one point.
 
     The scale is max(1, |f|, |f_u1|).
     """
@@ -164,15 +106,15 @@ def regularity(jet, eps=EPS_REG) -> RegularityFlags:
     return RegularityFlags(*(m > eps for m in mags), magnitudes=mags)
 
 
-def _require_regular(source, eps=EPS_REG):
+def _require_regular(jet, eps=EPS_REG):
     """Raise NonRegular at the first failing test, in the order: a
     non-finite derivative, then FLAG_NAMES.
 
-    `source` is a Jet or a series.  In a batch the error names the columns
-    that fail the first test any column fails; the others go on.  Returns
-    the flags of one point, None for a batch.
+    `jet` is a series at one point or a batch.  In a batch the error names
+    the columns that fail the first test any column fails; the others go
+    on.  Returns the flags of one point, None for a batch.
     """
-    finite, mags = _finite_and_magnitudes(source)
+    finite, mags = _finite_and_magnitudes(jet)
     check_columns(~finite, lambda i: NonRegular(NON_FINITE))
     for name, m in zip(FLAG_NAMES, mags):
         check_columns(~(m > eps), lambda i: NonRegular(name, at(m, i)))
@@ -254,10 +196,6 @@ def _nabla_formula(i, g, u1, zero):
     raise ValueError("derivation index must be 1, 2 or 3")
 
 
-def _jet_getter(jet: Jet):
-    return lambda i, j, l: jet.partial((i, j, l))
-
-
 def _series_getter(f_tv: TaylorValue, degree: int):
     """Getter returning degree-`degree` series of the partials of f_tv."""
     cache = {}
@@ -278,18 +216,18 @@ def _series_getter(f_tv: TaylorValue, degree: int):
 # -- point evaluation ----------------------------------------------------------
 
 
-def eval_J(jet: Jet, eps=EPS_REG) -> float:
+def eval_J(jet: TaylorValue, eps=EPS_REG) -> float:
     """The basic order-2 invariant f^2 f_u1u1 / ((u1 f_u1 - f) f_u1^2)."""
     _require_regular(jet, eps)
-    return float(_J_formula(_jet_getter(jet), jet.point[2]))
+    return float(_J_formula(lambda *s: jet.partial(s), jet.point[2]))
 
 
-def eval_K(jet: Jet, eps=EPS_REG) -> float:
+def eval_K(jet: TaylorValue, eps=EPS_REG) -> float:
     """The order-3 invariant in closed form (cross-checked by the brackets)."""
-    if jet.order < 3:
+    if jet.degree < 3:
         raise OrderExceeded("K needs a jet of order >= 3")
     _require_regular(jet, eps)
-    return float(_K_formula(_jet_getter(jet), jet.point[2]))
+    return float(_K_formula(lambda *s: jet.partial(s), jet.point[2]))
 
 
 # -- pullbacks and derivations --------------------------------------------------
@@ -311,11 +249,6 @@ def pullback_from_taylor(field: str, f_tv: TaylorValue, degree: int,
     u1 = TaylorValue.variable(2, f_tv.point, degree)
     formula = _J_formula if field == "J" else _K_formula
     return formula(g, u1)
-
-
-def pullback(field: str, system, p, degree: int, eps=EPS_REG) -> TaylorValue:
-    return pullback_from_taylor(field, system.taylor(p, degree + _FIELD_ORDER[field]),
-                                degree, eps)
 
 
 @dataclass(frozen=True)
@@ -350,34 +283,22 @@ def _nabla_fields(f_tv: TaylorValue, degree: int, eps=EPS_REG,
                  for i in indices)
 
 
-def nabla(i: int, system, p, degree: int, eps=EPS_REG) -> DerivationField:
-    return nabla_from_taylor(i, system.taylor(p, degree + 2), degree, eps)
-
-
-def apply_nabla(i: int, g_tv: TaylorValue, source, p=None,
+def apply_nabla(i: int, g_tv: TaylorValue, jet: TaylorValue,
                 eps=EPS_REG) -> float:
-    """nabla_i applied to a pulled-back scalar: A g_x + B g_u + C g_u1 at p.
-
-    `source` is a Jet at the series' base point, or a system together with
-    the point `p`.
-    """
-    jet = _resolve_jet(source, p, 2)
+    """nabla_i applied to a pulled-back scalar: A g_x + B g_u + C g_u1 at
+    the common base point of the series `g_tv` and the jet."""
     if g_tv.degree < 1:
         raise OrderExceeded("apply_nabla needs a series of degree >= 1")
     if g_tv.point != jet.point:
         raise ValueError("series and jet must share the base point")
     _require_regular(jet, eps)
-    coeffs = _nabla_formula(i, _jet_getter(jet), jet.point[2], 0.0)
+    coeffs = _nabla_formula(i, lambda *s: jet.partial(s), jet.point[2], 0.0)
     grads = (g_tv.partial((1, 0, 0)), g_tv.partial((0, 1, 0)),
              g_tv.partial((0, 0, 1)))
     return float(sum(c * d for c, d in zip(coeffs, grads)))
 
 
 # -- commutators ---------------------------------------------------------------
-
-
-def _bracket_fields(jet: Jet, eps=EPS_REG):
-    return _nabla_fields(jet.to_taylor(), 1, eps)
 
 
 def _commutator(va, vb):
@@ -396,16 +317,15 @@ def _commutator(va, vb):
     return out
 
 
-def bracket(i: int, j: int, source, p=None, eps=EPS_REG) -> np.ndarray:
+def bracket(i: int, j: int, jet: TaylorValue, eps=EPS_REG) -> np.ndarray:
     """Commutator [nabla_i, nabla_j] of the pulled-back fields at the point."""
-    jet = _resolve_jet(source, p, 4)
-    if jet.order < 3:
+    if jet.degree < 3:
         raise OrderExceeded("brackets need a jet of order >= 3")
-    fields = {k: f for k, f in zip((1, 2, 3), _bracket_fields(jet, eps))}
+    fields = {k: f for k, f in zip((1, 2, 3), _nabla_fields(jet, 1, eps))}
     return _commutator(fields[i], fields[j])
 
 
-def bracket_scalars(source, p=None, eps=EPS_REG, tol=1e-6):
+def bracket_scalars(jet: TaylorValue, eps=EPS_REG, tol=1e-6):
     """(J_br, K_br, L_br) extracted from the three commutation relations.
 
     Also asserts the structural zeros of the relations: the x and u1
@@ -413,10 +333,9 @@ def bracket_scalars(source, p=None, eps=EPS_REG, tol=1e-6):
     components of [n3, n1].  A violation signals a formula transcription
     problem rather than a numerical one.
     """
-    jet = _resolve_jet(source, p, 4)
-    if jet.order < 3:
+    if jet.degree < 3:
         raise OrderExceeded("brackets need a jet of order >= 3")
-    v1, v2, v3 = _bracket_fields(jet, eps)
+    v1, v2, v3 = _nabla_fields(jet, 1, eps)
     br21 = _commutator(v2, v1)
     br31 = _commutator(v3, v1)
     br32 = _commutator(v3, v2)
@@ -517,16 +436,15 @@ def signature_series(f_tv: TaylorValue, degree: int, eps=EPS_REG) -> tuple:
             KF.truncated(degree), *ki)
 
 
-def signature_vector(source, p=None, eps=EPS_REG) -> SignatureVector:
-    """All 14 components from an order-4 jet (or a system and a point).
+def signature_vector(jet: TaylorValue, eps=EPS_REG) -> SignatureVector:
+    """All 14 components from a jet of order >= 4.
 
     These are the constants of :func:`signature_series` at degree 0; nothing
     here uses finite differences, so the nested values are exact up to
     rounding.
     """
-    jet = _resolve_jet(source, p, 4)
-    if jet.order < 4:
+    if jet.degree < 4:
         raise OrderExceeded("signature_vector needs a jet of order >= 4")
     flags = _require_regular(jet, eps)
-    series = signature_series(jet.to_taylor(), 0, eps)
+    series = signature_series(jet, 0, eps)
     return SignatureVector(*(c.const for c in series), flags=flags)

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taylor import (TaylorValue, index_map, lift_variables, n_terms, simplex,
-                     _factorial_products)
+from .taylor import TaylorValue, index_map, lift_variables, n_terms, simplex
 
 #: Largest jet order for rank experiments (matrices stay at most 27 x 38).
 MAX_K = 4
@@ -39,42 +38,14 @@ def jet_space_dim(k: int) -> int:
     return 3 + n_terms(k)
 
 
-@dataclass(frozen=True)
-class JetPoint:
-    """A point of the k-jet space with freely assigned coordinates f_sigma."""
-
-    base: tuple
-    order: int
-    coords: tuple  # values over simplex(order), graded lexicographic
-
-    def __post_init__(self):
-        if len(self.coords) != n_terms(self.order):
-            raise ValueError("expected %d coordinates for order %d"
-                             % (n_terms(self.order), self.order))
-
-    def coord(self, sigma) -> float:
-        return self.coords[index_map(self.order)[tuple(sigma)]]
-
-    def with_coord(self, sigma, value) -> "JetPoint":
-        pos = index_map(self.order)[tuple(sigma)]
-        coords = list(self.coords)
-        coords[pos] = float(value)
-        return JetPoint(self.base, self.order, tuple(coords))
-
-    def section_taylor(self, degree) -> TaylorValue:
-        """The formal series whose derivative data are these coordinates."""
-        coeffs = np.asarray(self.coords) / _factorial_products(self.order)
-        return TaylorValue(self.base, degree, coeffs[:n_terms(degree)])
-
-
-def random_jet_point(order: int, seed, low=0.5, high=2.0) -> JetPoint:
-    """Seeded jet point with all coordinates in [low, high]; regular for
-    low > 0 since f, f_u1 and f_u1u1 are then bounded away from zero."""
+def random_jet_point(order: int, seed, low=0.5, high=2.0) -> TaylorValue:
+    """Seeded point of the `order`-jet space: a base point and derivatives
+    f_sigma, all in [low, high], as the series with those partials; regular
+    for low > 0 since f, f_u1 and f_u1u1 are then bounded away from zero."""
     rng = np.random.default_rng(int(seed))
     base = tuple(rng.uniform(low, high, size=3))
-    coords = tuple(float(v) for v in rng.uniform(low, high,
-                                                 size=n_terms(order)))
-    return JetPoint(base, order, coords)
+    values = rng.uniform(low, high, size=n_terms(order))
+    return TaylorValue.from_partials(base, order, values)
 
 
 @dataclass(frozen=True)
@@ -127,14 +98,15 @@ def _b_du(rows):
     return tuple(_poly1_deriv(row) for row in rows)
 
 
-def generating_function(gen: Generator, jp: JetPoint, trunc=None) -> TaylorValue:
+def generating_function(gen: Generator, jp: TaylorValue,
+                        trunc=None) -> TaylorValue:
     """phi of the generator at the jet point, as a degree-`trunc` series."""
-    trunc = jp.order - 1 if trunc is None else trunc
-    if trunc + 1 > jp.order:
+    trunc = jp.degree - 1 if trunc is None else trunc
+    if trunc + 1 > jp.degree:
         raise ValueError("jet order %d too low for truncation %d"
-                         % (jp.order, trunc))
-    xv, uv, wv = lift_variables(jp.base, trunc)
-    f_hi = jp.section_taylor(trunc + 1)
+                         % (jp.degree, trunc))
+    xv, uv, wv = lift_variables(jp.point, trunc)
+    f_hi = jp.truncated(trunc + 1)
     fv = f_hi.truncated(trunc)
     f_x = f_hi.derivative(0)
     f_u = f_hi.derivative(1)
@@ -146,41 +118,38 @@ def generating_function(gen: Generator, jp: JetPoint, trunc=None) -> TaylorValue
     bx = _poly2(_b_dx(gen.b_coeffs), xv, uv)
     bu = _poly2(_b_du(gen.b_coeffs), xv, uv)
 
-    zero = TaylorValue.constant(0.0, jp.base, trunc)
+    zero = TaylorValue.constant(0.0, jp.point, trunc)
     av, ax, bv, bx, bu = (c if isinstance(c, TaylorValue) else zero + float(c)
                           for c in (av, ax, bv, bx, bu))
     return ax * fv - av * f_x - bv * f_u - (wv * bu + fv * bx) * f_z
 
 
-def prolonged_vector(gen: Generator, jp: JetPoint, k: int) -> np.ndarray:
+def prolonged_vector(gen: Generator, jp: TaylorValue, k: int) -> np.ndarray:
     """Tangent vector of the prolonged generator at jp, on the k-jet space.
 
     Component order: x, u, u1, then f_sigma by graded lexicographic sigma.
-    Requires jp.order == k + 1; the order-(k+1) coordinates cancel out of
-    the result (checked by the well-definedness tests).
+    Requires a jet point of order k + 1; the order-(k+1) coordinates cancel
+    out of the result (checked by the well-definedness tests).
     """
-    if jp.order < k + 1:
+    if jp.degree < k + 1:
         raise ValueError("prolonged_vector needs a jet point of order k+1")
     phi = generating_function(gen, jp, trunc=k)
 
-    x0, u0, w0 = jp.base
+    x0, u0, w0 = jp.point
     a0 = _poly1(gen.a_coeffs, x0)
     b0 = _poly2(gen.b_coeffs, x0, u0)
     bx0 = _poly2(_b_dx(gen.b_coeffs), x0, u0)
     bu0 = _poly2(_b_du(gen.b_coeffs), x0, u0)
-    f0 = jp.coord((0, 0, 0))
-    w_comp = w0 * bu0 + f0 * bx0
+    f, idx = jp.partials, index_map(jp.degree)
+    w_comp = w0 * bu0 + f[0] * bx0
 
     out = np.empty(3 + n_terms(k))
     out[0], out[1], out[2] = a0, b0, w_comp
-    fac = _factorial_products(k)
-    for pos, sigma in enumerate(simplex(k)):
-        d_phi = phi.coeffs[pos] * fac[pos]
-        i, j, l = sigma
-        step = (a0 * jp.coord((i + 1, j, l))
-                + b0 * jp.coord((i, j + 1, l))
-                + w_comp * jp.coord((i, j, l + 1)))
-        out[3 + pos] = d_phi + step
+    d_phi = phi.partials
+    for pos, (i, j, l) in enumerate(simplex(k)):
+        step = (a0 * f[idx[(i + 1, j, l)]] + b0 * f[idx[(i, j + 1, l)]]
+                + w_comp * f[idx[(i, j, l + 1)]])
+        out[3 + pos] = d_phi[pos] + step
     return out
 
 

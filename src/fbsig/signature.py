@@ -84,19 +84,23 @@ class SignatureCloud:
 def build_cloud(system, grid, eps=EPS_REG, system_id=None) -> SignatureCloud:
     """Evaluate the signature over a grid; failing points are recorded.
 
-    `system` needs either a `taylor_at_source(p, degree)` method
-    (transformed systems) or a `.domain` box and `.taylor` (expression-backed
-    systems).  Every `len(grid points) // DIFFERENTIAL_PATCHES`-th grid point
-    is evaluated from an order-5 jet, whose degree-1 signature series gives
-    the value and the exact 14x3 differential there (with respect to the
-    cloud's base coordinates); the others from an order-4 jet.  Each of the
+    `system` needs either `taylor_at_source(p, degree)` and
+    `jacobian_det(p)` methods and a `.source_domain` (transformed systems)
+    or a `.domain` box and `.taylor` (expression-backed systems).  Every
+    `len(grid points) // DIFFERENTIAL_PATCHES`-th grid point is evaluated
+    from an order-5 jet, whose degree-1 signature series gives the value
+    and the exact 14x3 differential there (with respect to the cloud's base
+    coordinates); the others from an order-4 jet.  Each of the
     two sets is evaluated in blocks of at most BLOCK_COLUMNS grid points,
     one column per point.  A point whose evaluation fails is recorded in
     `skipped` with the reason of its first failure: the failing regularity
     flag, `non-finite jet`, or one of SKIP_REASONS.  A pushforward point that
     fails before its image is known is recorded at its source grid point.
     Rows and skipped points are in grid-index order, so the cloud is
-    deterministic.
+    deterministic.  A pushforward whose prolonged map folds the source box
+    (det dPsi/dp changes sign over the evaluated points) raises
+    SingularTransform: points on both sides of the fold share image jets,
+    so the cloud would not sample one system.
     """
     if any(int(n) < 2 for n in grid):
         raise ValueError("grid counts must be >= 2")
@@ -117,8 +121,10 @@ def build_cloud(system, grid, eps=EPS_REG, system_id=None) -> SignatureCloud:
                 _evaluate_block(system, transformed, params,
                                 chosen[start:start + BLOCK_COLUMNS], degree,
                                 eps, points, vectors, diffs, reasons)
+        kept = np.array([r is None for r in reasons])
+        if transformed and kept.any():
+            _check_fold(system, params[kept])
 
-    kept = np.array([r is None for r in reasons])
     skipped = [(tuple(map(float, points[i])), reasons[i])
                for i in np.flatnonzero(~kept)]
     if not kept.any():
@@ -173,6 +179,18 @@ def _evaluate_block(system, transformed, params, idx, degree, eps,
                 np.array([[c.partial(e) for e in _AXES] for c in series]),
                 -1, 0)
         return
+
+
+def _check_fold(system, params):
+    """Raise SingularTransform when det dPsi/dp of a pushforward takes both
+    signs over the source points `params`, naming a witness of each sign."""
+    det = system.jacobian_det(tuple(params.T))
+    pos, neg = np.flatnonzero(det > 0), np.flatnonzero(det < 0)
+    if pos.size and neg.size:
+        raise SingularTransform(
+            "the prolonged map folds the source box: det dPsi/dp is %.6g at "
+            "source point (%.6g, %.6g, %.6g) and %.6g at (%.6g, %.6g, %.6g)"
+            % (det[pos[0]], *params[pos[0]], det[neg[0]], *params[neg[0]]))
 
 
 def _record_failure(exc, idx, reasons):

@@ -10,6 +10,11 @@ the evaluation pipeline.
 Multi-indices are ordered graded-lexicographically, so the coefficients of a
 degree-``D`` value are a prefix of the coefficients of any higher degree.
 
+A k-jet of a function at a point is its degree-k series: the coefficient of
+sigma = (i, j, l) is f_sigma / (i! j! l!).  :attr:`TaylorValue.partials` and
+:meth:`TaylorValue.from_partials` convert between the coefficients and the
+derivatives f_sigma; no other module scales by the factorials.
+
 A value is either one series (coefficients of shape ``(n_terms,)`` at a
 point of three floats) or a batch of N series stored coefficient-major
 (shape ``(n_terms, N)`` at a point of three length-N arrays).  Every
@@ -101,6 +106,12 @@ def _factorial_products(degree: int) -> np.ndarray:
     for p, (i, j, l) in enumerate(simplex(degree)):
         out[p] = math.factorial(i) * math.factorial(j) * math.factorial(l)
     return out
+
+
+def _per_column(factors, ndim):
+    """Per-coefficient `factors` shaped to scale coefficients of `ndim`
+    dimensions (one point, or a batch with one column per point)."""
+    return factors if ndim == 1 else factors[:, None]
 
 
 @lru_cache(maxsize=None)
@@ -217,6 +228,18 @@ class TaylorValue:
             c[index_map(degree)[tuple(e)]] = 1.0
         return cls(point, degree, c)
 
+    @classmethod
+    def from_partials(cls, point, degree, values):
+        """The series whose partial derivatives f_sigma at `point` are
+        `values`, over simplex(degree) (one column per point of a batch)."""
+        values = np.asarray(values, dtype=float)
+        expected = (n_terms(degree),)
+        if not 0 <= degree <= MAX_DEGREE or values.shape[:1] != expected:
+            raise ValueError("expected %d derivative values for degree %d"
+                             % (n_terms(degree), degree))
+        return cls(point, degree, values / _per_column(
+            _factorial_products(degree), values.ndim))
+
     def _const(self, value):
         """Trusted constant series at this point; `value` may be per column."""
         c = np.zeros(self.coeffs.shape)
@@ -248,6 +271,13 @@ class TaylorValue:
         value = self.coeffs[pos] * _factorial_products(self.degree)[pos]
         return float(value) if self.coeffs.ndim == 1 else value
 
+    @property
+    def partials(self) -> np.ndarray:
+        """All partial derivatives f_sigma over simplex(degree), in the
+        order of the coefficients (per column for a batch)."""
+        return self.coeffs * _per_column(_factorial_products(self.degree),
+                                         self.coeffs.ndim)
+
     def truncated(self, degree: int) -> "TaylorValue":
         """Drop all coefficients of order above `degree`."""
         if not 0 <= degree <= self.degree:
@@ -261,10 +291,8 @@ class TaylorValue:
         if self.degree == 0:
             raise OrderExceeded("cannot differentiate a degree-0 series")
         src, dst, fac = _deriv_table(self.degree, axis)
-        if self.coeffs.ndim == 2:
-            fac = fac[:, None]
         out = np.zeros((n_terms(self.degree - 1),) + self.coeffs.shape[1:])
-        out[dst] = self.coeffs[src] * fac
+        out[dst] = self.coeffs[src] * _per_column(fac, self.coeffs.ndim)
         return TaylorValue._trusted(self.point, self.degree - 1, out)
 
     def select(self, columns) -> "TaylorValue":

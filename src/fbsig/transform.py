@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigError, SingularTransform, at, check_columns
 from .expr import Expression, parse, substitute, to_string
-from .invariants import Jet
 from .systems import Box
 from .taylor import TaylorValue, index_map, lift_variables, poly_compose
 
@@ -64,20 +63,38 @@ def pushforward_point(mapping: FeedbackMap, system, p):
 COND_MAX = 1e12
 
 
+def _prolonged(mapping: FeedbackMap, f_tv: TaylorValue):
+    """(X', (the three components of Psi)) as series at the point of f_tv."""
+    p, degree = f_tv.point, f_tv.degree
+    X, Xp, U, Ux, Uu = _xu_series(mapping, p, degree)
+    u1 = TaylorValue.variable(2, p, degree)
+    return Xp, (X, U, Ux * f_tv + Uu * u1)
+
+
+def _linear_positions(degree):
+    pos = index_map(degree)
+    return [pos[(1, 0, 0)], pos[(0, 1, 0)], pos[(0, 0, 1)]]
+
+
+def _jacobian(psi):
+    """d psi_i / d p_m at the base point from series of degree >= 1: one
+    3x3 matrix, or for a batch one per column (shape (N, 3, 3))."""
+    e = _linear_positions(psi[0].degree)
+    return np.moveaxis(np.array([[psi[i].coeffs[e[m]] for m in range(3)]
+                                 for i in range(3)]), (0, 1), (-2, -1))
+
+
 def _invert_series(psi, q0):
     """Series inverse of Psi around its base point, degree by degree.
 
-    `psi` are the three component series at the source point; the result are
-    three series at `q0 = Psi(p)` expressing the source offsets in terms of
-    the image offsets, correct to the common truncation degree.  In a batch
-    every column has its own Jacobian.
+    `psi` are the three component series (degree >= 1) at the source point;
+    the result are three series at `q0 = Psi(p)` expressing the source
+    offsets in terms of the image offsets, correct to the common truncation
+    degree.  In a batch every column has its own Jacobian.
     """
     degree = psi[0].degree
-    pos = index_map(degree)
-    e = [pos[(1, 0, 0)], pos[(0, 1, 0)], pos[(0, 0, 1)]] if degree >= 1 else []
-    # jac[..., i, m] = d psi_i / d p_m, one 3x3 matrix per column
-    jac = np.moveaxis(np.array([[psi[i].coeffs[e[m]] for m in range(3)]
-                                for i in range(3)]), (0, 1), (-2, -1))
+    e = _linear_positions(degree)
+    jac = _jacobian(psi)
     stack = jac.reshape(-1, 3, 3)
     finite = np.isfinite(stack).all(axis=(1, 2))
     cond = np.full(len(stack), np.inf)
@@ -115,23 +132,19 @@ def transformed_taylor(mapping: FeedbackMap, f_tv: TaylorValue):
 
     For a batch `f_tv` the image point is three arrays, one entry per column.
     """
-    p = f_tv.point
-    degree = f_tv.degree
-    X, Xp, U, Ux, Uu = _xu_series(mapping, p, degree)
-    u1 = TaylorValue.variable(2, p, degree)
-    psi = (X, U, Ux * f_tv + Uu * u1)
+    Xp, psi = _prolonged(mapping, f_tv)
     q0 = tuple(c.const for c in psi)
     rhs = Xp * f_tv
-    if degree == 0:
+    if f_tv.degree == 0:
         return q0, TaylorValue.constant(rhs.const, q0, 0)
     xi = _invert_series(psi, q0)
     return q0, poly_compose(rhs, xi)
 
 
-def transformed_jet(mapping: FeedbackMap, system, p, order) -> Jet:
-    """Jet of the transformed system at the image of `p`."""
-    _, g_tv = transformed_taylor(mapping, system.taylor(p, order))
-    return Jet.from_taylor(g_tv)
+def transformed_jet(mapping: FeedbackMap, system, p, order) -> TaylorValue:
+    """Jet (degree-`order` series) of the transformed system at the image of
+    `p`."""
+    return transformed_taylor(mapping, system.taylor(p, order))[1]
 
 
 class TransformedSystem:
@@ -169,10 +182,17 @@ class TransformedSystem:
             f_tv = self.base.taylor(p, degree)
         return transformed_taylor(self.mapping, f_tv)
 
-    def jet_at_source(self, p, order):
-        """(image point, jet of the transformed system there) at one point."""
-        q, g_tv = self.taylor_at_source(p, order)
-        return q, Jet.from_taylor(g_tv)
+    def jacobian_det(self, p):
+        """det dPsi/dp of the prolonged map from the source parametrization
+        to the image, nested transforms composed, at `p` (a point of the
+        source parametrization, or a batch of them as three arrays)."""
+        if isinstance(self.base, TransformedSystem):
+            det = self.base.jacobian_det(p)
+            _, f_tv = self.base.taylor_at_source(p, 1)
+        else:
+            det, f_tv = 1.0, self.base.taylor(p, 1)
+        _, psi = _prolonged(self.mapping, f_tv)
+        return det * np.linalg.det(_jacobian(psi))
 
     def image_box(self, counts=(5, 5, 5)) -> Box:
         """Bounding box of the sampled image of the source domain."""

@@ -3,13 +3,22 @@
 import numpy as np
 import pytest
 
-from fbsig import (Generator, Jet, JetPoint, eval_J, generating_function,
+from fbsig import (Generator, TaylorValue, eval_J, generating_function,
                    orbit_rank, prolonged_vector, random_jet_point,
                    invariant_counts)
 from fbsig.orbits import (cumulative_invariants, expected_orbit_dim,
                           jet_space_dim, printed_orbit_dim,
                           pure_order_invariants, standard_generators)
-from fbsig.taylor import n_terms, simplex
+from fbsig.taylor import index_map, n_terms, simplex
+
+
+def pinned(jp, coords=None, point=None):
+    """The jet point with the derivatives f_sigma in `coords` (a dict from
+    sigma to value) set and, if given, another base point."""
+    values = jp.partials
+    for sigma, value in (coords or {}).items():
+        values[index_map(jp.degree)[sigma]] = value
+    return TaylorValue.from_partials(point or jp.point, jp.degree, values)
 
 
 def test_jet_space_dims():
@@ -18,8 +27,7 @@ def test_jet_space_dims():
 
 def test_generating_function_translation():
     # a = 1, b = 0: phi = -f_x
-    jp = random_jet_point(2, seed=1)
-    jp = jp.with_coord((1, 0, 0), 3.0)
+    jp = pinned(random_jet_point(2, seed=1), {(1, 0, 0): 3.0})
     phi = generating_function(Generator.monomial_a(0), jp, trunc=1)
     assert phi.const == pytest.approx(-3.0)
 
@@ -27,16 +35,15 @@ def test_generating_function_translation():
 def test_generating_function_scaling():
     # a = x at base x = 0: phi = f - x f_x has constant term f
     jp = random_jet_point(2, seed=2)
-    jp = JetPoint((0.0, jp.base[1], jp.base[2]), jp.order, jp.coords)
+    jp = pinned(jp, point=(0.0, jp.point[1], jp.point[2]))
     phi = generating_function(Generator.monomial_a(1), jp, trunc=1)
-    assert phi.const == pytest.approx(jp.coord((0, 0, 0)))
+    assert phi.const == pytest.approx(jp.partial((0, 0, 0)))
 
 
 def test_generating_function_b_field():
     # a = 0, b = u: phi = -u f_u - u1 f_u1; at (0,1,2), f_u = 1, f_u1 = 1
-    jp = random_jet_point(2, seed=3)
-    jp = JetPoint((0.0, 1.0, 2.0), jp.order, jp.coords)
-    jp = jp.with_coord((0, 1, 0), 1.0).with_coord((0, 0, 1), 1.0)
+    jp = pinned(random_jet_point(2, seed=3),
+                {(0, 1, 0): 1.0, (0, 0, 1): 1.0}, point=(0.0, 1.0, 2.0))
     phi = generating_function(Generator.monomial_b(0, 1), jp, trunc=1)
     assert phi.const == pytest.approx(-3.0)
 
@@ -48,14 +55,14 @@ def test_prolonged_vector_order0_examples():
     assert v == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-14)
 
     # a = x at base x = 0: f-component = phi + a f_x = f
-    jp0 = JetPoint((0.0, jp.base[1], jp.base[2]), jp.order, jp.coords)
+    jp0 = pinned(jp, point=(0.0, jp.point[1], jp.point[2]))
     v = prolonged_vector(Generator.monomial_a(1), jp0, 0)
-    assert v[3] == pytest.approx(jp0.coord((0, 0, 0)))
+    assert v[3] == pytest.approx(jp0.partial((0, 0, 0)))
 
     # a = 0, b = u at (0, 1, 2): base components (0, 1, u1 b_u) = (0, 1, 2);
     # the f-component a_x f of the representation vanishes for pure-b
     # generators: phi + b f_u + u1 b_u f_u1 cancels to zero exactly
-    jp1 = JetPoint((0.0, 1.0, 2.0), jp.order, jp.coords)
+    jp1 = pinned(jp, point=(0.0, 1.0, 2.0))
     v = prolonged_vector(Generator.monomial_b(0, 1), jp1, 0)
     assert v[:3] == pytest.approx([0.0, 1.0, 2.0])
     assert v[3] == pytest.approx(0.0, abs=1e-14)
@@ -66,11 +73,11 @@ def test_prolonged_vector_well_defined():
     for k in (1, 2, 3):
         jp = random_jet_point(k + 1, seed=5 + k)
         rng = np.random.default_rng(99 + k)
-        coords = list(jp.coords)
+        coords = jp.partials
         for pos, sigma in enumerate(simplex(k + 1)):
             if sum(sigma) == k + 1:
                 coords[pos] = rng.uniform(0.5, 2.0)
-        jp2 = JetPoint(jp.base, jp.order, tuple(coords))
+        jp2 = TaylorValue.from_partials(jp.point, jp.degree, coords)
         for gen in standard_generators(k):
             v1 = prolonged_vector(gen, jp, k)
             v2 = prolonged_vector(gen, jp2, k)
@@ -101,7 +108,7 @@ def test_rank_stable_under_more_generators():
 
 
 def test_singular_stratum_rank_drop():
-    jp = random_jet_point(2, seed=6).with_coord((0, 0, 1), 0.0)
+    jp = pinned(random_jet_point(2, seed=6), {(0, 0, 1): 0.0})
     res = orbit_rank(1, jet_point=jp)
     assert res.rank < 7
 
@@ -109,24 +116,26 @@ def test_singular_stratum_rank_drop():
 def test_invariant_gradient_annihilated():
     # J is constant on orbits: its gradient kills every prolonged generator
     jp = random_jet_point(3, seed=8)
-    if abs(jp.base[2] * jp.coord((0, 0, 1)) - jp.coord((0, 0, 0))) < 0.1:
+    if abs(jp.point[2] * jp.partial((0, 0, 1)) - jp.partial((0, 0, 0))) < 0.1:
         jp = random_jet_point(3, seed=9)
+    coords = jp.partials
 
     def J_of(base_u1, coords):
-        jet = Jet((jp.base[0], jp.base[1], base_u1), 2,
-                  np.asarray(coords[:n_terms(2)]))
+        jet = TaylorValue.from_partials((jp.point[0], jp.point[1], base_u1),
+                                        2, coords[:n_terms(2)])
         return eval_J(jet)
 
     h = 1e-6
     grad = np.zeros(3 + n_terms(2))
-    grad[2] = (J_of(jp.base[2] + h, jp.coords)
-               - J_of(jp.base[2] - h, jp.coords)) / (2 * h)
+    grad[2] = (J_of(jp.point[2] + h, coords)
+               - J_of(jp.point[2] - h, coords)) / (2 * h)
     for pos in range(n_terms(2)):
-        up = list(jp.coords)
-        dn = list(jp.coords)
+        up = coords.copy()
+        dn = coords.copy()
         up[pos] += h
         dn[pos] -= h
-        grad[3 + pos] = (J_of(jp.base[2], up) - J_of(jp.base[2], dn)) / (2 * h)
+        grad[3 + pos] = (J_of(jp.point[2], up)
+                         - J_of(jp.point[2], dn)) / (2 * h)
 
     for gen in standard_generators(2):
         v = prolonged_vector(gen, jp, 2)

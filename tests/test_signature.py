@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from fbsig import (DependentBasis, EmptyCloud, SignatureCloud, SystemDef,
-                   TooFewSamples, TransformedSystem, apply_nabla, build_cloud,
-                   compare, export_cloud, intrinsic_dimension,
-                   nabla_from_taylor, pullback_from_taylor, pushforward_point,
-                   random_feedback, select_chart, signature_series,
-                   signature_vector, system_jet, tresse)
+from fbsig import (DependentBasis, EmptyCloud, FeedbackMap, SignatureCloud,
+                   SingularTransform, SystemDef, TooFewSamples,
+                   TransformedSystem, apply_nabla, build_cloud, compare,
+                   export_cloud, intrinsic_dimension, nabla_from_taylor,
+                   pullback_from_taylor, pushforward_point, random_feedback,
+                   select_chart, signature_series, signature_vector,
+                   system_jet, tresse)
 from fbsig.signature import (CHART_CANDIDATES, EQUIVALENT, INCONCLUSIVE,
                              NOT_EQUIVALENT, chart_margins)
 from helpers import fd_gradient, make_system, sample_regular_points
@@ -125,12 +126,12 @@ def test_exact_differential_matches_finite_differences():
     # degree-0 values, at cubic points and at one pushforward point
     system = make_system("cubic")
     for p in sample_regular_points(system, 3, seed=5):
-        series = signature_series(system_jet(system, p, 5).to_taylor(), 1)
+        series = signature_series(system.taylor(p, 5), 1)
         exact = np.array([[c.partial(e) for e in AXES] for c in series])
-        assert np.array_equal([c.const for c in series],
-                              signature_vector(system, p).as_array())
-        ref = _fd_jacobian(lambda q: signature_vector(system, q).as_array(),
-                           p)
+        sig = signature_vector(system.taylor(p, 4)).as_array()
+        assert np.array_equal([c.const for c in series], sig)
+        ref = _fd_jacobian(
+            lambda q: signature_vector(system.taylor(q, 4)).as_array(), p)
         _assert_close_rows(exact, ref)
 
     # pushforward: sigma_G(Psi(p)) = sigma_F(p), differentiated in p, equals
@@ -138,14 +139,14 @@ def test_exact_differential_matches_finite_differences():
     phi = random_feedback(7, (system.domain.x, system.domain.u))
     pushed = TransformedSystem(phi, system)
     p = sample_regular_points(system, 1, seed=6)[0]
-    _, jet = pushed.jet_at_source(p, 5)
-    series = signature_series(jet.to_taylor(), 1)
+    _, f_tv = pushed.taylor_at_source(p, 5)
+    series = signature_series(f_tv, 1)
     exact = np.array([[c.partial(e) for e in AXES] for c in series])
     dpsi = _fd_jacobian(lambda q: np.array(pushforward_point(phi, system, q)),
                         p)
     ref = _fd_jacobian(
-        lambda q: signature_vector(pushed.jet_at_source(q, 4)[1]).as_array(),
-        p)
+        lambda q: signature_vector(pushed.taylor_at_source(q, 4)[1])
+        .as_array(), p)
     _assert_close_rows(exact @ dpsi, ref)
 
 
@@ -242,6 +243,22 @@ def test_compare_pushforward_equivalent(cubic_cloud):
     v = compare(cubic_cloud, g_cloud)
     assert v.status == EQUIVALENT
     assert v.max_residual < 1e-4
+
+
+def test_folded_pushforward_cloud_raises():
+    # random_feedback(0) passes the X' and U_u checks on the cubic box, but
+    # dU1/du1 = U_x F_u1 + U_u changes sign there, and with it det dPsi/dp:
+    # points on both sides of the fold share image jets
+    system = make_system("cubic")
+    box = (system.domain.x, system.domain.u)
+    folded = TransformedSystem(random_feedback(0, box), system)
+    scaled = FeedbackMap.from_strings("2*x", "u + 1")
+    for pushed in (folded, TransformedSystem(scaled, folded)):
+        with pytest.raises(SingularTransform, match="folds the source box"):
+            build_cloud(pushed, (11, 11, 11))
+    # an unfolded nested pushforward builds
+    inner = TransformedSystem(random_feedback(7, box), system)
+    assert len(build_cloud(TransformedSystem(scaled, inner), (4, 4, 4))) == 64
 
 
 def test_compare_decorrelated_sampling_never_certifies_difference(cubic_cloud):

@@ -36,6 +36,28 @@ def test_lift_variables_examples():
     assert wv.partial((0, 0, 1)) == 1.0
 
 
+def test_partials_and_from_partials():
+    # e^(x + 2u) u1^2 at (0, 0, 1): f_(i,j,l) = 2^j * (1, 2, 2, 0, ...)[l]
+    xv, uv, wv = lift_variables(P, 3)
+    tv = compose_elementary("exp", xv + 2.0 * uv) * wv * wv
+    want = [2.0 ** j * (1.0, 2.0, 2.0, 0.0)[l] for i, j, l in simplex(3)]
+    assert np.allclose(tv.partials, want, rtol=1e-14)
+    assert list(tv.partials) == [tv.partial(s) for s in simplex(3)]
+    back = TaylorValue.from_partials(P, 3, want)
+    assert np.allclose(back.coeffs, tv.coeffs, rtol=1e-14)
+
+    # a batch: one column of derivatives per point
+    pts = (np.array([0.0, 1.0]), np.array([0.0, 0.5]), np.array([1.0, 2.0]))
+    batch = TaylorValue.from_partials(pts, 3, np.column_stack([want, want]))
+    assert batch.coeffs.shape == (n_terms(3), 2)
+    assert np.array_equal(batch.partials[:, 1], back.partials)
+
+    with pytest.raises(ValueError):
+        TaylorValue.from_partials(P, 3, want[:-1])
+    with pytest.raises(ValueError):
+        TaylorValue.from_partials(P, 7, np.ones(n_terms(7)))
+
+
 def test_mul_difference_of_squares():
     xv = lift_variables((0.0, 0.0, 0.0), 2)[0]
     prod = (1.0 + xv) * (1.0 - xv)
