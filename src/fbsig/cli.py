@@ -226,16 +226,20 @@ def cmd_transform(cfg, args, out):
     path = args.out or (args.system + "_" + args.map + "_transform.csv")
     header = ("x,u,u1,xt,ut,u1t," + ",".join(_jet_col_names()) + ",J_F,J_G")
     max_err = 0.0
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
+    rows = [header]
+    # every row is built before the file is opened, so an evaluation error
+    # at any grid point leaves no partial CSV
+    with np.errstate(all="ignore"):
         for p in system.domain.grid(cfg.grid):
             jet_f = system.taylor(p, 2)
             q, jet_g = transformed_taylor(mapping, jet_f)
             jf = eval_J(jet_f, cfg.eps_reg)
             jg = eval_J(jet_g, cfg.eps_reg)
             max_err = max(max_err, abs(jg - jf) / (1.0 + abs(jf)))
-            row = [_fmt(c) for c in (*p, *q, *jet_g.partials, jf, jg)]
-            fh.write(",".join(row) + "\n")
+            rows.append(",".join(_fmt(c) for c in
+                                 (*p, *q, *jet_g.partials, jf, jg)))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(rows) + "\n")
     out.write("wrote %s\n" % path)
     out.write("max relative invariance error |J_G - J_F|/(1+|J_F|): %s\n"
               % _fmt(max_err))

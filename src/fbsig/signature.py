@@ -306,69 +306,95 @@ class Verdict:
                 "notes": list(self.notes)}
 
 
-def _patch_distance(q, pts, tree, k=PATCH_K):
-    """Distance from q to a local-tangent approximation of the point set.
+@dataclass(frozen=True)
+class _Approach:
+    """How close each sample of one normalized cloud comes to another.
 
-    The in-plane displacement is clipped at the patch radius so the fitted
-    tangent plane is never extrapolated far beyond the data; this keeps the
-    estimate a sound lower bound up to curvature terms.
+    `gap[i]` is sample i's full-space patch distance to the target cloud,
+    `idx[i]` the indices of that patch in the target, and `tree` the
+    target's kd-tree.
     """
-    k_eff = min(k, pts.shape[0])
-    _, idx = tree.query(q, k_eff)
-    nb = pts[np.atleast_1d(idx)]
-    c = nb.mean(axis=0)
-    Y = nb - c
-    radius = float(np.sqrt((Y ** 2).sum(axis=1).max()))
-    w = q - c
+
+    gap: np.ndarray              # (n,)
+    idx: np.ndarray              # (n, k_eff)
+    tree: cKDTree
+
+
+def _patch_distances(queries, pts, k=PATCH_K) -> _Approach:
+    """Distance from each query to a local-tangent approximation of `pts`.
+
+    All queries share one kd-tree query for their patches of k nearest
+    points; the patches are fitted in stacks of BLOCK_COLUMNS.
+    """
+    tree = cKDTree(pts)
+    idx = _knn(tree, queries, min(k, pts.shape[0]))[1]
+    gap = np.concatenate([
+        _tangent_gaps(queries[start:start + BLOCK_COLUMNS], pts,
+                      idx[start:start + BLOCK_COLUMNS])
+        for start in range(0, queries.shape[0], BLOCK_COLUMNS)])
+    return _Approach(gap, idx, tree)
+
+
+def _knn(tree, queries, k):
+    """Distances and indices (n, k) of the k nearest neighbours."""
+    d, idx = tree.query(queries, k)
+    return d.reshape(-1, k), idx.reshape(-1, k)
+
+
+def _tangent_gaps(queries, pts, idx):
+    """Distance from each query to the tangent plane of its patch pts[idx].
+
+    The plane is spanned by the singular vectors above SV_RATIO of the
+    largest.  The in-plane displacement is clipped at the patch radius so
+    the fitted tangent plane is never extrapolated far beyond the data;
+    this keeps the estimate a sound lower bound up to curvature terms.
+    """
+    Y = pts[idx]
+    c = Y.mean(axis=1)
+    Y -= c[:, None, :]
+    radius = np.sqrt((Y ** 2).sum(axis=2).max(axis=1))
+    w = queries - c
     _, s, Vt = np.linalg.svd(Y, full_matrices=False)
-    if s.size and s[0] > 1e-15:
-        V = Vt[s > SV_RATIO * s[0]]
-        inplane = V.T @ (V @ w)
-    else:
-        inplane = np.zeros_like(w)
-    off = w - inplane
-    excess = max(0.0, float(np.linalg.norm(inplane)) - radius)
-    return float(np.hypot(np.linalg.norm(off), excess))
+    rank = np.where(s[:, 0] > 1e-15, (s > SV_RATIO * s[:, :1]).sum(1), 0)
+    inplane = np.zeros_like(w)
+    for r in np.unique(rank[rank > 0]):
+        # the leading r rows of Vt, stacked per rank as one patch's tangent
+        # basis V, so each sample is summed as V.T @ (V @ w)
+        of_rank = rank == r
+        V = Vt[of_rank, :r]
+        inplane[of_rank] = (np.swapaxes(V, 1, 2)
+                            @ (V @ w[of_rank, :, None]))[:, :, 0]
+    excess = np.maximum(0.0, _norms(inplane) - radius)
+    return np.hypot(_norms(w - inplane), excess)
+
+
+def _norms(rows):
+    """Euclidean norm of each row, summed as np.linalg.norm sums a vector."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
 def _separation(va, vb, k=PATCH_K):
     """Min patch distance between the normalized clouds, both directions.
 
-    Returns (distance, side, sample index) of the closest approach; the
-    witness of a separation is the sample that gets least close.
+    Returns ((distance, side, sample index), approach of F to G, approach
+    of G to F).  The witness of a separation is the sample that gets least
+    close: the lowest index of the closest side, F before G on a tie.
     """
-    ta, tb = cKDTree(va), cKDTree(vb)
-    best = (np.inf, "F", -1)
-    for side, pts, other, tree in (("F", va, vb, tb), ("G", vb, va, ta)):
-        for i, q in enumerate(pts):
-            d = _patch_distance(q, other, tree, k)
-            if d < best[0]:
-                best = (d, side, i)
-    return best
+    near_f, near_g = _patch_distances(va, vb, k), _patch_distances(vb, va, k)
+    i, j = int(np.argmin(near_f.gap)), int(np.argmin(near_g.gap))
+    best = ((float(near_f.gap[i]), "F", i) if near_f.gap[i] <= near_g.gap[j]
+            else (float(near_g.gap[j]), "G", j))
+    return best, near_f, near_g
 
 
-def _weighted_graph_fit(patch_chart, patch_resp, cq):
-    """Inverse-square weighted affine fit of responses over chart offsets.
-
-    Returns (prediction at cq, unweighted max misfit over the patch, ok).
-    The weight floor keeps a dst sample coinciding with the query pinning
-    the prediction, so matching samplings reproduce each other exactly.
-    """
-    d = np.linalg.norm(patch_chart - cq, axis=1)
-    dk = float(d.max())
-    w = 1.0 / (d ** 2 + (1e-6 * max(dk, 1e-12)) ** 2)
-    sw = np.sqrt(w)[:, None]
-    A = np.hstack([np.ones((patch_chart.shape[0], 1)), patch_chart - cq])
-    sol, _, rank, _ = np.linalg.lstsq(sw * A, sw * patch_resp, rcond=None)
-    if rank < A.shape[1]:
-        return None, np.inf, False
-    misfit = float(np.max(np.abs(A @ sol - patch_resp)))
-    return sol[0], misfit, True
-
-
-def _graph_residuals(src_chart, src_resp, dst_chart, dst_resp, tol,
-                     dst_full=None, src_full=None, k=PATCH_K):
+def _graph_residuals(src_chart, src_resp, dst_chart, dst_resp, tol, near,
+                     k=PATCH_K):
     """Residuals of src samples against dst's local graph over the chart.
+
+    Each src sample whose k nearest dst samples in the chart lie within
+    twice the dst spacing `r_self` gets an affine fit of their responses
+    (`_graph_fits`); a fit of full rank covers its sample.  `near` is the
+    approach of src to dst in the full space (from `_separation`).
 
     A residual certifies NOT_EQUIVALENT only when the mismatch is resolved
     by the data, i.e. all of: the residual exceeds 10x the tolerance in a
@@ -380,46 +406,71 @@ def _graph_residuals(src_chart, src_resp, dst_chart, dst_resp, tol,
     regions, and chart projections that are only locally injective (two
     sheets over one chart region): in all those cases the full-space gap
     stays at the local sampling scale, whereas a genuine difference between
-    manifolds survives it wherever the target is densely sampled.
+    manifolds survives it wherever the target is densely sampled.  The
+    certified sample is the lowest src index that passes every test.
     """
-    m = dst_chart.shape[0]
+    n, m = src_chart.shape[0], dst_chart.shape[0]
     k_eff = min(k, m)
     tree = cKDTree(dst_chart)
-    self_d, _ = tree.query(dst_chart, min(k_eff + 1, m))
-    r_self = float(np.median(self_d[:, -1])) if m > 1 else 0.0
-    full_tree = None
-    if dst_full is not None:
-        full_tree = cKDTree(dst_full)
-        fself_d, _ = full_tree.query(dst_full, min(k_eff + 1, m))
-        fself = fself_d[:, -1]
+    # the median distance of a dst sample to its k-th neighbour
+    r_self = float(np.median(
+        _knn(tree, dst_chart, min(k_eff + 1, m))[0][:, -1]))
+    d, idx = _knn(tree, src_chart, k_eff)
+    dk = d[:, -1]
+    tried = np.flatnonzero(dk <= 2.0 * r_self) if r_self > 0 else np.arange(n)
 
-    covered = 0
-    max_resid = 0.0
+    covered = np.zeros(n, dtype=bool)
+    resid, misfit = np.zeros(n), np.zeros(n)
+    for start in range(0, tried.size, BLOCK_COLUMNS):
+        rows = tried[start:start + BLOCK_COLUMNS]
+        full, pred, misfit_full = _graph_fits(src_chart[rows], dst_chart,
+                                              dst_resp, idx[rows])
+        rows = rows[full]
+        covered[rows] = True
+        misfit[rows] = misfit_full
+        resid[rows] = np.abs(pred - src_resp[rows]).max(axis=1)
+
+    max_resid = float(resid[covered].max()) if covered.any() else 0.0
+    cand = np.flatnonzero(covered & (dk <= 1.5 * r_self) & (resid > 10.0 * tol)
+                          & (resid > 5.0 * misfit))
     certified = None
-    for i in range(src_chart.shape[0]):
-        cq = src_chart[i]
-        d, idx = tree.query(cq, k_eff)
-        d = np.atleast_1d(d)
-        idx = np.atleast_1d(idx)
-        dk = float(d[-1])
-        if r_self > 0 and dk > 2.0 * r_self:
-            continue
-        pred, misfit, ok = _weighted_graph_fit(dst_chart[idx], dst_resp[idx],
-                                               cq)
-        if not ok:
-            continue
-        covered += 1
-        resid = float(np.max(np.abs(pred - src_resp[i])))
-        max_resid = max(max_resid, resid)
-        dense = dk <= 1.5 * r_self
-        if (certified is None and dense and resid > 10.0 * tol
-                and resid > 5.0 * misfit and full_tree is not None):
-            gap = _patch_distance(src_full[i], dst_full, full_tree, k)
-            _, fidx = full_tree.query(src_full[i], k_eff)
-            r_loc = float(np.median(fself[np.atleast_1d(fidx)]))
-            if gap > 10.0 * tol and gap > 3.0 * r_loc:
-                certified = (i, resid)
-    return covered, max_resid, certified
+    if cand.size:
+        fself = _knn(near.tree, near.tree.data, min(k_eff + 1, m))[0][:, -1]
+        r_loc = np.median(fself[near.idx[cand]], axis=1)
+        gap = near.gap[cand]
+        hits = cand[(gap > 10.0 * tol) & (gap > 3.0 * r_loc)]
+        if hits.size:
+            certified = (int(hits[0]), float(resid[hits[0]]))
+    return int(covered.sum()), max_resid, certified
+
+
+def _graph_fits(queries, dst_chart, dst_resp, idx):
+    """Inverse-square weighted affine fits of responses over chart offsets.
+
+    One fit per query, over its patch idx of dst samples.  Returns (mask of
+    the fits of full rank, their predictions at the queries, their
+    unweighted max misfits over the patch).  The weight floor keeps a dst
+    sample coinciding with the query pinning the prediction, so matching
+    samplings reproduce each other exactly.
+    """
+    A = np.ones(idx.shape + (1 + queries.shape[1],))
+    A[:, :, 1:] = dst_chart[idx] - queries[:, None, :]
+    dist = np.linalg.norm(A[:, :, 1:], axis=2)
+    floor = 1e-6 * np.maximum(dist.max(axis=1), 1e-12)
+    sw = np.sqrt(1.0 / (dist ** 2 + floor[:, None] ** 2))[:, :, None]
+    U, s, Vt = np.linalg.svd(sw * A, full_matrices=False)
+    # the rank test of np.linalg.lstsq with its default rcond; the fits
+    # that fail it are solved with unit singular values and dropped
+    rcond = np.finfo(float).eps * max(A.shape[1:])
+    full = (s > rcond * s[:, :1]).sum(axis=1) == A.shape[2]
+    s[~full] = 1.0
+    resp = dst_resp[idx]
+    sol = np.swapaxes(Vt, 1, 2) @ (
+        (np.swapaxes(U * sw, 1, 2) @ resp) / s[:, :, None])
+    fit = A @ sol
+    fit -= resp
+    misfit = np.abs(fit, out=fit).max(axis=(1, 2))
+    return full, sol[full, 0, :], misfit[full]
 
 
 def compare(cloud_f, cloud_g, tol_rel=1e-4, min_overlap=0.3) -> Verdict:
@@ -441,7 +492,7 @@ def compare(cloud_f, cloud_g, tol_rel=1e-4, min_overlap=0.3) -> Verdict:
     va = cloud_f.vectors / spread
     vb = cloud_g.vectors / spread
 
-    sep, side, widx = _separation(va, vb)
+    (sep, side, widx), near_f, near_g = _separation(va, vb)
     if sep > 10.0 * tol_rel:
         witness = (cloud_f if side == "F" else cloud_g).points[widx]
         notes.append("separated: min normalized patch distance %.6g exceeds "
@@ -458,10 +509,10 @@ def compare(cloud_f, cloud_g, tol_rel=1e-4, min_overlap=0.3) -> Verdict:
         rest = [i for i in range(va.shape[1]) if i not in cols]
         cov_f, res_f, cert_f = _graph_residuals(
             va[:, cols], va[:, rest], vb[:, cols], vb[:, rest], tol_rel,
-            dst_full=vb, src_full=va)
+            near_f)
         cov_g, res_g, cert_g = _graph_residuals(
             vb[:, cols], vb[:, rest], va[:, cols], va[:, rest], tol_rel,
-            dst_full=va, src_full=vb)
+            near_g)
         overlap = (cov_f + cov_g) / (len(cloud_f) + len(cloud_g))
         max_resid = max(res_f, res_g)
         if cert_f or cert_g:

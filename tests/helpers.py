@@ -1,8 +1,10 @@
 """Shared fixtures-in-spirit: canonical systems and sampling utilities."""
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from fbsig import SystemDef, regularity, system_jet
+from fbsig.signature import PATCH_K, SV_RATIO
 
 #: Five systems, all regular with comfortable margin on their boxes.
 CANONICAL = {
@@ -81,3 +83,126 @@ def fd_partial(fn, p, sigma, h=1e-4):
             out += w * fn(tuple(q))
         return out / (4 * h ** 2)
     raise ValueError("finite differences implemented for orders <= 2")
+
+
+# -- per-sample reference of the cloud comparison -----------------------------
+#
+# The comparison geometry of fbsig.signature written one sample at a time:
+# one kd-tree query, SVD and least-squares fit per sample.  The batched code
+# must reproduce its witnesses, coverage counts and certified samples.
+
+
+def ref_patch_distance(q, pts, tree, k=PATCH_K):
+    """Distance from q to a local-tangent approximation of the point set.
+
+    The in-plane displacement is clipped at the patch radius so the fitted
+    tangent plane is never extrapolated far beyond the data; this keeps the
+    estimate a sound lower bound up to curvature terms.
+    """
+    k_eff = min(k, pts.shape[0])
+    _, idx = tree.query(q, k_eff)
+    nb = pts[np.atleast_1d(idx)]
+    c = nb.mean(axis=0)
+    Y = nb - c
+    radius = float(np.sqrt((Y ** 2).sum(axis=1).max()))
+    w = q - c
+    _, s, Vt = np.linalg.svd(Y, full_matrices=False)
+    if s.size and s[0] > 1e-15:
+        V = Vt[s > SV_RATIO * s[0]]
+        inplane = V.T @ (V @ w)
+    else:
+        inplane = np.zeros_like(w)
+    off = w - inplane
+    excess = max(0.0, float(np.linalg.norm(inplane)) - radius)
+    return float(np.hypot(np.linalg.norm(off), excess))
+
+
+def ref_separation(va, vb, k=PATCH_K):
+    """Min patch distance between the normalized clouds, both directions.
+
+    Returns (distance, side, sample index) of the closest approach; the
+    witness of a separation is the sample that gets least close.
+    """
+    ta, tb = cKDTree(va), cKDTree(vb)
+    best = (np.inf, "F", -1)
+    for side, pts, other, tree in (("F", va, vb, tb), ("G", vb, va, ta)):
+        for i, q in enumerate(pts):
+            d = ref_patch_distance(q, other, tree, k)
+            if d < best[0]:
+                best = (d, side, i)
+    return best
+
+
+def ref_weighted_graph_fit(patch_chart, patch_resp, cq):
+    """Inverse-square weighted affine fit of responses over chart offsets.
+
+    Returns (prediction at cq, unweighted max misfit over the patch, ok).
+    The weight floor keeps a dst sample coinciding with the query pinning
+    the prediction, so matching samplings reproduce each other exactly.
+    """
+    d = np.linalg.norm(patch_chart - cq, axis=1)
+    dk = float(d.max())
+    w = 1.0 / (d ** 2 + (1e-6 * max(dk, 1e-12)) ** 2)
+    sw = np.sqrt(w)[:, None]
+    A = np.hstack([np.ones((patch_chart.shape[0], 1)), patch_chart - cq])
+    sol, _, rank, _ = np.linalg.lstsq(sw * A, sw * patch_resp, rcond=None)
+    if rank < A.shape[1]:
+        return None, np.inf, False
+    misfit = float(np.max(np.abs(A @ sol - patch_resp)))
+    return sol[0], misfit, True
+
+
+def ref_graph_residuals(src_chart, src_resp, dst_chart, dst_resp, tol,
+                        dst_full=None, src_full=None, k=PATCH_K):
+    """Residuals of src samples against dst's local graph over the chart.
+
+    A residual certifies NOT_EQUIVALENT only when the mismatch is resolved
+    by the data, i.e. all of: the residual exceeds 10x the tolerance in a
+    densely sampled chart region; it dwarfs the patch's internal misfit;
+    and the query's full 14-dimensional distance to the target's local
+    tangent patch exceeds both 10x the tolerance and a multiple of the
+    target's local sample spacing there.  The last condition is what keeps
+    the certificate sound against curvature between samples, sparse
+    regions, and chart projections that are only locally injective (two
+    sheets over one chart region): in all those cases the full-space gap
+    stays at the local sampling scale, whereas a genuine difference between
+    manifolds survives it wherever the target is densely sampled.
+    """
+    m = dst_chart.shape[0]
+    k_eff = min(k, m)
+    tree = cKDTree(dst_chart)
+    self_d, _ = tree.query(dst_chart, min(k_eff + 1, m))
+    r_self = float(np.median(self_d[:, -1])) if m > 1 else 0.0
+    full_tree = None
+    if dst_full is not None:
+        full_tree = cKDTree(dst_full)
+        fself_d, _ = full_tree.query(dst_full, min(k_eff + 1, m))
+        fself = fself_d[:, -1]
+
+    covered = 0
+    max_resid = 0.0
+    certified = None
+    for i in range(src_chart.shape[0]):
+        cq = src_chart[i]
+        d, idx = tree.query(cq, k_eff)
+        d = np.atleast_1d(d)
+        idx = np.atleast_1d(idx)
+        dk = float(d[-1])
+        if r_self > 0 and dk > 2.0 * r_self:
+            continue
+        pred, misfit, ok = ref_weighted_graph_fit(dst_chart[idx],
+                                                  dst_resp[idx], cq)
+        if not ok:
+            continue
+        covered += 1
+        resid = float(np.max(np.abs(pred - src_resp[i])))
+        max_resid = max(max_resid, resid)
+        dense = dk <= 1.5 * r_self
+        if (certified is None and dense and resid > 10.0 * tol
+                and resid > 5.0 * misfit and full_tree is not None):
+            gap = ref_patch_distance(src_full[i], dst_full, full_tree, k)
+            _, fidx = full_tree.query(src_full[i], k_eff)
+            r_loc = float(np.median(fself[np.atleast_1d(fidx)]))
+            if gap > 10.0 * tol and gap > 3.0 * r_loc:
+                certified = (i, resid)
+    return covered, max_resid, certified

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import warnings
 
 import pytest
 
@@ -217,6 +218,20 @@ def test_transform_noninvertible_map(config_path):
                       "--map", "bad"])
     assert code == 4
     assert "VIOLATION" in text
+
+
+def test_transform_overflow_leaves_no_partial_csv(config_path, tmp_path):
+    out_csv = tmp_path / "t.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, text = run(["transform", "--config", config_path, "--system",
+                          "overflow", "--map", "double", "--out",
+                          str(out_csv)])
+    assert code == 4
+    assert text == ("evaluation error: prolonged Jacobian is singular "
+                    "(condition inf)\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out_csv.exists()
 
 
 def test_orbit_dim_table(config_path):
