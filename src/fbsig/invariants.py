@@ -166,34 +166,35 @@ def _K_formula(g, u1):
     c6 = (fuu - fu * fxz + 2.0 * fx * fuz + fz * fxu - f * fxuz
           + u1 * (fz * fxuz - fuuz + fxz * fuz - fu * fxzz))
 
-    return (-u1 * fxu + 2.0 * u1 * fu * fu / (f * fz) - 2.0 * fu * fu / (fz * fz)
-            + (fuu * u1 - 2.0 * fu * fx + f * fxu) / fz
-            - u1 * (fuu * u1 - 2.0 * fu * fx) / f
-            + c1 / (fz * fzz * fzz) + c2 / (f * fzz * fzz) + c3 / (fzz * fzz)
-            + c4 / (f * fzz) + c5 / (fz * fzz) + c6 / fzz)
+    rf, rz, rzz = 1.0 / f, 1.0 / fz, 1.0 / fzz
+    a = fuu * u1 - 2.0 * fu * fx
+    return (-u1 * fxu + 2.0 * u1 * fu * fu * rf * rz - 2.0 * fu * fu * rz * rz
+            + (a + f * fxu) * rz - u1 * a * rf
+            + (c1 * rz + c2 * rf + c3) * rzz * rzz
+            + (c4 * rf + c5 * rz + c6) * rzz)
 
 
-def _nabla_formula(i, g, u1, zero):
-    """Coefficients (A, B, C) of nabla_i as carrier values."""
+def _nabla_formula(g, u1, zero):
+    """Coefficients (A, B, C) of nabla_1, nabla_2 and nabla_3 as carrier
+    values."""
     f = g(0, 0, 0)
+    fx = g(1, 0, 0)
+    fu = g(0, 1, 0)
     fz = g(0, 0, 1)
-    if i == 1:
-        fu = g(0, 1, 0)
-        B = (u1 * fz - f) / fz
-        C = ((f - u1 * fz) / (fz * fz)) * fu
-        return (zero, B, C)
-    if i == 2:
-        return (zero, zero, f / fz)
-    if i == 3:
-        fx = g(1, 0, 0)
-        fu = g(0, 1, 0)
-        fuz = g(0, 1, 1)
-        fxz = g(1, 0, 1)
-        fzz = g(0, 0, 2)
-        C = ((fx * fz + fu - u1 * fuz - f * fxz) / fzz
-             + ((u1 * fz - f) / (fz * fz)) * fu)
-        return (f, f / fz, C)
-    raise ValueError("derivation index must be 1, 2 or 3")
+    fuz = g(0, 1, 1)
+    fxz = g(1, 0, 1)
+    fzz = g(0, 0, 2)
+    rz = 1.0 / fz
+    B1 = (u1 * fz - f) * rz
+    C1 = -(B1 * rz) * fu
+    C2 = f * rz
+    C3 = (fx * fz + fu - u1 * fuz - f * fxz) / fzz - C1
+    return ((zero, B1, C1), (zero, zero, C2), (f, C2, C3))
+
+
+def _check_index(i):
+    if i not in (1, 2, 3):
+        raise ValueError("derivation index must be 1, 2 or 3")
 
 
 def _series_getter(f_tv: TaylorValue, degree: int):
@@ -265,13 +266,12 @@ class DerivationField:
 def nabla_from_taylor(i: int, f_tv: TaylorValue, degree: int,
                       eps=EPS_REG) -> DerivationField:
     """nabla_i pulled back along a system, components as degree-D series."""
-    return _nabla_fields(f_tv, degree, eps, (i,))[0]
+    _check_index(i)
+    return _nabla_fields(f_tv, degree, eps)[i - 1]
 
 
-def _nabla_fields(f_tv: TaylorValue, degree: int, eps=EPS_REG,
-                  indices=(1, 2, 3)) -> tuple:
-    """The fields of nabla_i, i in `indices`, from one getter and one
-    regularity check."""
+def _nabla_fields(f_tv: TaylorValue, degree: int, eps=EPS_REG) -> tuple:
+    """The fields of nabla_1..3 from one getter and one regularity check."""
     if f_tv.degree < degree + 2:
         raise OrderExceeded("nabla coefficients at degree %d need the system "
                             "expanded to degree %d" % (degree, degree + 2))
@@ -279,8 +279,8 @@ def _nabla_fields(f_tv: TaylorValue, degree: int, eps=EPS_REG,
     g = _series_getter(f_tv, degree)
     u1 = TaylorValue.variable(2, f_tv.point, degree)
     zero = TaylorValue.constant(0.0, f_tv.point, degree)
-    return tuple(DerivationField(i, tuple(_nabla_formula(i, g, u1, zero)))
-                 for i in indices)
+    return tuple(DerivationField(i, coeffs) for i, coeffs
+                 in enumerate(_nabla_formula(g, u1, zero), 1))
 
 
 def apply_nabla(i: int, g_tv: TaylorValue, jet: TaylorValue,
@@ -291,8 +291,9 @@ def apply_nabla(i: int, g_tv: TaylorValue, jet: TaylorValue,
         raise OrderExceeded("apply_nabla needs a series of degree >= 1")
     if g_tv.point != jet.point:
         raise ValueError("series and jet must share the base point")
+    _check_index(i)
     _require_regular(jet, eps)
-    coeffs = _nabla_formula(i, lambda *s: jet.partial(s), jet.point[2], 0.0)
+    coeffs = _nabla_formula(lambda *s: jet.partial(s), jet.point[2], 0.0)[i - 1]
     grads = (g_tv.partial((1, 0, 0)), g_tv.partial((0, 1, 0)),
              g_tv.partial((0, 0, 1)))
     return float(sum(c * d for c, d in zip(coeffs, grads)))
@@ -416,7 +417,7 @@ def signature_series(f_tv: TaylorValue, degree: int, eps=EPS_REG) -> tuple:
     g = _series_getter(f_tv, mid)
     u1 = TaylorValue.variable(2, point, mid)
     zero = TaylorValue.constant(0.0, point, mid)
-    fields = [_nabla_formula(i, g, u1, zero) for i in (1, 2, 3)]
+    fields = _nabla_formula(g, u1, zero)
     KF = _K_formula(g, u1)
 
     def gradient(series):

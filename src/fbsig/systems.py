@@ -41,10 +41,6 @@ class Box:
     def intervals(self):
         return (self.x, self.u, self.u1)
 
-    def contains(self, p, tol=1e-12):
-        return all(lo - tol <= v <= hi + tol
-                   for v, (lo, hi) in zip(p, self.intervals))
-
     def grid(self, counts):
         """Grid points in fixed index order (x slowest, u1 fastest)."""
         axes = [np.linspace(lo, hi, int(n))

@@ -359,11 +359,13 @@ class TaylorValue:
         check_columns(abs(c0) <= DIV_EPS, lambda i: DivisionBySingular(
             "division by series with zero constant term"))
         # 1/b = (1/c0) * sum (-r)^k  with r = (b - c0)/c0, truncated Horner
-        r = (self - c0) * (1.0 / c0)
-        s = self._const(1.0)
+        inv = self._factor(1.0 / c0)
+        r = (self.coeffs - self._const(c0).coeffs) * inv
+        one = self._const(1.0).coeffs
+        s = one
         for _ in range(self.degree):
-            s = 1.0 - r * s
-        return s * (1.0 / c0)
+            s = one - _raw_mul(r, s, self.degree)
+        return TaylorValue._trusted(self.point, self.degree, s * inv)
 
     def __truediv__(self, other):
         if not isinstance(other, TaylorValue):
@@ -499,6 +501,65 @@ def compose_elementary(fn: str, a: TaylorValue) -> TaylorValue:
     return out
 
 
+@lru_cache(maxsize=None)
+def _monomial_parents(top: int) -> tuple:
+    """(parent position, axis, kept) of every multi-index of simplex(top)
+    after the constant: the multi-index is its parent plus one in `axis`,
+    and it is `kept` when its total degree is below `top`, so that it is the
+    parent of later ones."""
+    pos = index_map(top)
+    out = []
+    for s in simplex(top)[1:]:
+        axis = next(a for a in range(3) if s[a])
+        parent = list(s)
+        parent[axis] -= 1
+        out.append((pos[tuple(parent)], axis, sum(s) < top))
+    return tuple(out)
+
+
+def _monomials(args: np.ndarray, top: int, degree: int):
+    """Raw coefficients of args[0]^i args[1]^j args[2]^l for every (i, j, l)
+    in simplex(top), in that order, truncated at `degree`.
+
+    `args` stacks three raw degree-`degree` series (shape
+    ``(3, n_terms(degree)[, N])``).  Each monomial is its parent times one
+    argument.  Only the monomials of the previous total degree are held as
+    parents, so that at most two total degrees are in memory at once.
+    """
+    one = np.zeros(args.shape[1:])
+    one[0] = 1.0
+    yield one
+    parents, current = {0: one}, {}
+    for m, (parent, axis, kept) in enumerate(_monomial_parents(top), 1):
+        if parent not in parents:
+            # the first multi-index of the next total degree
+            parents, current = current, {}
+        mono = (args[axis] if parent == 0 else
+                _raw_mul(parents[parent], args[axis], degree))
+        if kept:
+            current[m] = mono
+        yield mono
+
+
+def _compose(coeffs: np.ndarray, args: np.ndarray, top: int,
+             degree: int) -> np.ndarray:
+    """Raw series sum_sigma coeffs[k, sigma] * args^sigma, truncated at
+    `degree`, for each polynomial k of a stack (shape
+    ``(k, n_terms(top)[, N])``); the terms are added in the order of
+    simplex(top).
+
+    A monomial whose coefficient is zero in every polynomial and column is
+    skipped, so that an overflowing monomial there gives no 0 * inf.
+    """
+    used = coeffs != 0.0
+    used = used.any(axis=0) if used.ndim == 2 else used.any(axis=(0, 2))
+    acc = np.zeros((coeffs.shape[0],) + args.shape[1:])
+    for m, mono in enumerate(_monomials(args, top, degree)):
+        if used[m]:
+            acc += coeffs[:, m, None] * mono
+    return acc
+
+
 def poly_compose(poly: TaylorValue, args) -> TaylorValue:
     """Substitute three series for the offsets of a polynomial series.
 
@@ -511,20 +572,7 @@ def poly_compose(poly: TaylorValue, args) -> TaylorValue:
     s1, s2, s3 = args
     s1._compat(s2)
     s1._compat(s3)
-    degree = s1.degree
-    pows = []
-    for s in (s1, s2, s3):
-        ps = [s1._const(1.0)]
-        for _ in range(poly.degree):
-            ps.append(ps[-1] * s)
-        pows.append(ps)
-    zero = poly.coeffs == 0.0
-    if zero.ndim == 2:
-        zero = zero.all(axis=1)
-    acc = np.zeros(s1.coeffs.shape)
-    for pos, (i, j, l) in enumerate(simplex(poly.degree)):
-        if zero[pos]:
-            continue
-        term = pows[0][i] * pows[1][j] * pows[2][l]
-        acc = acc + poly.coeffs[pos] * term.coeffs
-    return TaylorValue._trusted(s1.point, degree, acc)
+    acc = _compose(poly.coeffs[None],
+                   np.array([s1.coeffs, s2.coeffs, s3.coeffs]),
+                   poly.degree, s1.degree)
+    return TaylorValue._trusted(s1.point, s1.degree, acc[0])

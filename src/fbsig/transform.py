@@ -21,7 +21,8 @@ import numpy as np
 from .errors import ConfigError, SingularTransform, at, check_columns
 from .expr import Expression, parse, substitute, to_string
 from .systems import Box
-from .taylor import TaylorValue, index_map, lift_variables, poly_compose
+from .taylor import (TaylorValue, _compose, index_map, lift_variables,
+                     n_terms, poly_compose)
 
 
 @dataclass(frozen=True)
@@ -85,12 +86,18 @@ def _jacobian(psi):
 
 
 def _invert_series(psi, q0):
-    """Series inverse of Psi around its base point, degree by degree.
+    """Series inverse of Psi around its base point, by graded sweeps.
 
     `psi` are the three component series (degree >= 1) at the source point;
     the result are three series at `q0 = Psi(p)` expressing the source
     offsets in terms of the image offsets, correct to the common truncation
     degree.  In a batch every column has its own Jacobian.
+
+    The linear solve gives the inverse to order 1.  Sweep `top` (2, 3, ...,
+    degree) composes the nonlinear parts of Psi with that inverse at degree
+    `top`, on the monomials of total degree <= `top`, and solves again: the
+    inverse is then correct to order `top`, and its higher orders are left
+    to the next sweep.
     """
     degree = psi[0].degree
     e = _linear_positions(degree)
@@ -105,26 +112,27 @@ def _invert_series(psi, q0):
         "prolonged Jacobian is singular (condition %.3e)" % at(cond, i)))
     jinv = np.linalg.inv(jac)
 
-    qdev = [TaylorValue.variable(m, q0, degree) - q0[m] for m in range(3)]
+    # the image offsets as raw series; the constant is NaN where q0 is not
+    # finite, as for a coordinate series minus its constant
+    q = np.array(q0)
+    qdev = np.zeros((3,) + psi[0].coeffs.shape)
+    qdev[:, 0] = q - q
+    qdev[[0, 1, 2], e] = 1.0
 
     # nonlinear parts of Psi (constant and linear coefficients removed)
-    nonlin = []
-    for i in range(3):
-        c = psi[i].coeffs.copy()
-        c[0] = 0.0
-        for m in range(3):
-            c[e[m]] = 0.0
-        nonlin.append(TaylorValue._trusted(psi[i].point, degree, c))
+    nonlin = np.array([c.coeffs for c in psi])
+    nonlin[:, [0] + e] = 0.0
 
     def linear_solve(rhs):
-        return [jinv[..., m, 0] * rhs[0] + jinv[..., m, 1] * rhs[1]
-                + jinv[..., m, 2] * rhs[2] for m in range(3)]
+        return np.array([jinv[..., m, 0] * rhs[0] + jinv[..., m, 1] * rhs[1]
+                         + jinv[..., m, 2] * rhs[2] for m in range(3)])
 
     xi = linear_solve(qdev)
-    for _ in range(max(degree - 1, 0)):
-        corrected = [qdev[i] - poly_compose(nonlin[i], xi) for i in range(3)]
-        xi = linear_solve(corrected)
-    return xi
+    for top in range(2, degree + 1):
+        n = n_terms(top)
+        xi[:, :n] = linear_solve(
+            qdev[:, :n] - _compose(nonlin[:, :n], xi[:, :n], top, top))
+    return tuple(TaylorValue(q0, degree, c) for c in xi)
 
 
 def transformed_taylor(mapping: FeedbackMap, f_tv: TaylorValue):

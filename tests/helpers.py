@@ -3,8 +3,12 @@
 import numpy as np
 from scipy.spatial import cKDTree
 
-from fbsig import SystemDef, regularity, system_jet
+from fbsig import (DivisionBySingular, SingularTransform, SystemDef,
+                   TaylorValue, regularity, system_jet)
+from fbsig.errors import at, check_columns
 from fbsig.signature import PATCH_K, SV_RATIO
+from fbsig.taylor import DIV_EPS, simplex
+from fbsig.transform import COND_MAX, _jacobian, _linear_positions, _prolonged
 
 #: Five systems, all regular with comfortable margin on their boxes.
 CANONICAL = {
@@ -206,3 +210,114 @@ def ref_graph_residuals(src_chart, src_resp, dst_chart, dst_resp, tol,
             if gap > 10.0 * tol and gap > 3.0 * r_loc:
                 certified = (i, resid)
     return covered, max_resid, certified
+
+
+# -- reference series inversion and composition --------------------------------
+#
+# The series arithmetic of fbsig.taylor and fbsig.transform as it was before
+# compositions shared one monomial basis: each composition multiplies out the
+# powers of its arguments term by term, the inverse of Psi is refined by
+# full-degree sweeps, and the reciprocal's Horner loop builds a series object
+# at every step.  The graded sweeps must agree with these to rounding, and
+# the raw reciprocal loop bit for bit.
+
+
+def ref_reciprocal(self):
+    c0 = self.const
+    check_columns(abs(c0) <= DIV_EPS, lambda i: DivisionBySingular(
+        "division by series with zero constant term"))
+    # 1/b = (1/c0) * sum (-r)^k  with r = (b - c0)/c0, truncated Horner
+    r = (self - c0) * (1.0 / c0)
+    s = self._const(1.0)
+    for _ in range(self.degree):
+        s = 1.0 - r * s
+    return s * (1.0 / c0)
+
+
+def ref_poly_compose(poly: TaylorValue, args) -> TaylorValue:
+    """Substitute three series for the offsets of a polynomial series.
+
+    `poly` is read as a polynomial in its own offsets; `args` are three
+    TaylorValues (sharing a base point and degree) giving those offsets as
+    functions of the new variables.  Returns the composition truncated at
+    the degree of `args`.  In a batch, a coefficient of `poly` is skipped
+    only when it is zero in every column.
+    """
+    s1, s2, s3 = args
+    s1._compat(s2)
+    s1._compat(s3)
+    degree = s1.degree
+    pows = []
+    for s in (s1, s2, s3):
+        ps = [s1._const(1.0)]
+        for _ in range(poly.degree):
+            ps.append(ps[-1] * s)
+        pows.append(ps)
+    zero = poly.coeffs == 0.0
+    if zero.ndim == 2:
+        zero = zero.all(axis=1)
+    acc = np.zeros(s1.coeffs.shape)
+    for pos, (i, j, l) in enumerate(simplex(poly.degree)):
+        if zero[pos]:
+            continue
+        term = pows[0][i] * pows[1][j] * pows[2][l]
+        acc = acc + poly.coeffs[pos] * term.coeffs
+    return TaylorValue._trusted(s1.point, degree, acc)
+
+
+def ref_invert_series(psi, q0):
+    """Series inverse of Psi around its base point, degree by degree.
+
+    `psi` are the three component series (degree >= 1) at the source point;
+    the result are three series at `q0 = Psi(p)` expressing the source
+    offsets in terms of the image offsets, correct to the common truncation
+    degree.  In a batch every column has its own Jacobian.
+    """
+    degree = psi[0].degree
+    e = _linear_positions(degree)
+    jac = _jacobian(psi)
+    stack = jac.reshape(-1, 3, 3)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    cond = np.full(len(stack), np.inf)
+    if finite.any():
+        cond[finite] = np.linalg.cond(stack[finite])
+    cond = cond.reshape(jac.shape[:-2])
+    check_columns(~(cond <= COND_MAX), lambda i: SingularTransform(
+        "prolonged Jacobian is singular (condition %.3e)" % at(cond, i)))
+    jinv = np.linalg.inv(jac)
+
+    qdev = [TaylorValue.variable(m, q0, degree) - q0[m] for m in range(3)]
+
+    # nonlinear parts of Psi (constant and linear coefficients removed)
+    nonlin = []
+    for i in range(3):
+        c = psi[i].coeffs.copy()
+        c[0] = 0.0
+        for m in range(3):
+            c[e[m]] = 0.0
+        nonlin.append(TaylorValue._trusted(psi[i].point, degree, c))
+
+    def linear_solve(rhs):
+        return [jinv[..., m, 0] * rhs[0] + jinv[..., m, 1] * rhs[1]
+                + jinv[..., m, 2] * rhs[2] for m in range(3)]
+
+    xi = linear_solve(qdev)
+    for _ in range(max(degree - 1, 0)):
+        corrected = [qdev[i] - ref_poly_compose(nonlin[i], xi)
+                     for i in range(3)]
+        xi = linear_solve(corrected)
+    return xi
+
+
+def ref_transformed_taylor(mapping, f_tv: TaylorValue):
+    """(image point, series of the transformed system G at the image point).
+
+    For a batch `f_tv` the image point is three arrays, one entry per column.
+    """
+    Xp, psi = _prolonged(mapping, f_tv)
+    q0 = tuple(c.const for c in psi)
+    rhs = Xp * f_tv
+    if f_tv.degree == 0:
+        return q0, TaylorValue.constant(rhs.const, q0, 0)
+    xi = ref_invert_series(psi, q0)
+    return q0, ref_poly_compose(rhs, xi)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from fbsig import (DivisionBySingular, DomainError, OrderExceeded, TaylorValue,
                    compose_elementary, lift_variables)
-from fbsig.taylor import n_terms, simplex
+from fbsig.taylor import MAX_DEGREE, n_terms, simplex
+from helpers import ref_reciprocal
 
 P = (0.0, 0.0, 1.0)
 
@@ -293,6 +294,19 @@ def test_batch_poly_compose_matches_each_column():
     batch = poly_compose(poly, args)
     for k, (p1, *a1) in enumerate(zip(_columns(poly), *map(_columns, args))):
         assert np.array_equal(poly_compose(p1, a1).coeffs, batch.coeffs[:, k])
+
+
+@pytest.mark.parametrize("degree", range(MAX_DEGREE + 1))
+def test_reciprocal_bit_identical_to_series_loop(degree):
+    rng = np.random.default_rng(degree)
+    pts = tuple(rng.uniform(-1, 1, 6) for _ in range(3))
+    c = rng.standard_normal((n_terms(degree), 6))
+    c[0] += np.sign(c[0]) * 0.5
+    batch = TaylorValue(pts, degree, c)
+    values = [batch] + _columns(batch)
+    for tv in values:
+        got, ref = tv.reciprocal().coeffs, ref_reciprocal(tv).coeffs
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_batch_failures_name_their_columns():

@@ -8,7 +8,8 @@ from fbsig import (FeedbackMap, SingularTransform, SystemDef,
                    invertibility_check, lift_variables, poly_compose,
                    pushforward_point, random_feedback, signature_vector,
                    system_jet, transformed_jet, transformed_taylor)
-from helpers import all_systems, make_system, sample_regular_points
+from helpers import (CANONICAL, all_systems, make_system,
+                     ref_transformed_taylor, sample_regular_points)
 
 SQ = SystemDef.from_strings("sq", "u1^2",
                             {"x": [-1, 1], "u": [-1, 1], "u1": [1, 2]})
@@ -64,28 +65,49 @@ def test_transformed_constant_term_is_xprime_times_f():
             assert g_tv.const == pytest.approx(expect, rel=1e-9)
 
 
-def test_defining_relation_series():
-    # all coefficients of G(Psi(.)) - X' F vanish through order 3
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_defining_relation_series(order):
+    # all coefficients of G(Psi(.)) - X' F vanish through the order: every
+    # count of inversion sweeps, up to the order-5 jets of differentials
     system = make_system("cubic")
     phi = random_feedback(1, (system.domain.x, system.domain.u))
     for p in sample_regular_points(system, 4, seed=9):
-        f_tv = system.taylor(p, 3)
+        f_tv = system.taylor(p, order)
         q, g_tv = transformed_taylor(phi, f_tv)
-        xl, ul, wl = lift_variables(p, 3)
+        xl, ul, wl = lift_variables(p, order)
         X = phi.X({"x": xl})
         U = phi.U({"x": xl, "u": ul})
-        f4 = system.taylor(p, 4)
-        Ux = phi.U({"x": lift_variables(p, 4)[0],
-                    "u": lift_variables(p, 4)[1]}).derivative(0)
-        Uu = phi.U({"x": lift_variables(p, 4)[0],
-                    "u": lift_variables(p, 4)[1]}).derivative(1)
-        psi_dev = (X - q[0], U - q[1],
-                   Ux.truncated(3) * f_tv + Uu.truncated(3) * wl - q[2])
+        xh, uh, _ = lift_variables(p, order + 1)
+        Ux = phi.U({"x": xh, "u": uh}).derivative(0)
+        Uu = phi.U({"x": xh, "u": uh}).derivative(1)
+        psi_dev = (X - q[0], U - q[1], Ux * f_tv + Uu * wl - q[2])
         lhs = poly_compose(g_tv, psi_dev)
-        Xp = phi.X({"x": lift_variables(p, 4)[0]}).derivative(0)
-        rhs = Xp.truncated(3) * f_tv
+        Xp = phi.X({"x": xh}).derivative(0)
+        rhs = Xp * f_tv
         scale = max(1.0, np.abs(rhs.coeffs).max())
         assert np.abs(lhs.coeffs - rhs.coeffs).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", sorted(CANONICAL))
+def test_transformed_taylor_matches_reference(name, order):
+    # graded sweeps on one monomial basis against the full-degree sweeps of
+    # the term-by-term composition, for a point and for a batch
+    system = make_system(name)
+    box = (system.domain.x, system.domain.u)
+    for seed in range(2, 10):
+        phi = random_feedback(seed, box)
+        rng = np.random.default_rng(seed)
+        pts = [system.domain.sample(rng) for _ in range(4)]
+        batch = tuple(np.array(pts).T)
+        for p in (pts[0], batch):
+            q, g_tv = transformed_taylor(phi, system.taylor(p, order))
+            q_ref, g_ref = ref_transformed_taylor(phi, system.taylor(p, order))
+            assert all(np.array_equal(a, b) for a, b in zip(q, q_ref))
+            scale = np.abs(g_ref.coeffs).max(axis=0)
+            assert (np.abs(g_tv.coeffs - g_ref.coeffs) <= 1e-12 * scale).all()
+        assert np.array_equal(transformed_taylor(phi, system.taylor(
+            pts[0], order))[1].coeffs, g_tv.coeffs[:, 0])
 
 
 def test_group_action_composition():
