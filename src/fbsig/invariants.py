@@ -199,19 +199,30 @@ def _check_index(i):
 
 def _series_getter(f_tv: TaylorValue, degree: int):
     """Getter returning degree-`degree` series of the partials of f_tv."""
+    partials = {(0, 0, 0): f_tv}
     cache = {}
 
     def g(i, j, l):
         key = (i, j, l)
         if key not in cache:
-            tv = f_tv
-            for axis, count in enumerate(key):
-                for _ in range(count):
-                    tv = tv.derivative(axis)
-            cache[key] = tv.truncated(degree)
+            cache[key] = _partial(partials, key).truncated(degree)
         return cache[key]
 
     return g
+
+
+def _partial(partials, key):
+    """The partial `key` of the series partials[(0, 0, 0)], cached in
+    `partials`.  Each partial is derived from the one a single derivative
+    below it along its last differentiated axis, so the derivatives are
+    always taken in the axis order x, u, u1.  (A recursive closure would
+    form a reference cycle and hold every block's partials until the cyclic
+    garbage collector runs.)"""
+    if key not in partials:
+        axis = max(a for a in range(3) if key[a])
+        below = tuple(c - (a == axis) for a, c in enumerate(key))
+        partials[key] = _partial(partials, below).derivative(axis)
+    return partials[key]
 
 
 # -- point evaluation ----------------------------------------------------------

@@ -15,6 +15,7 @@ different scales.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -25,6 +26,12 @@ from .invariants import EPS_REG, SIGNATURE_COMPONENTS, signature_series
 
 #: Indices of the chart candidates (j, j1, j2, j3, k) in the 14-vector.
 CHART_CANDIDATES = {"j": 0, "j1": 1, "j2": 2, "j3": 3, "k": 10}
+
+#: The 3-subsets of the chart candidates, in the order of CHART_CANDIDATES
+#: (`_shared_chart` breaks ties by it), and their rows in the 14-vector.
+_TRIPLES = tuple(combinations(CHART_CANDIDATES, 3))
+_TRIPLE_ROWS = np.array([[CHART_CANDIDATES[name] for name in t]
+                         for t in _TRIPLES])
 
 #: Local patch size for the comparison estimates.
 PATCH_K = 12
@@ -211,28 +218,21 @@ def _spread(values, floor=1e-12):
 
 
 def _tangent_matrices(cloud):
-    """The cloud's differentials with rows normalized by the value spread."""
+    """The cloud's differentials, (m, 14, 3), with rows normalized by the
+    value spread."""
     if cloud.jacobians is None or not len(cloud.jacobians):
         raise TooFewSamples("cloud %r carries no signature differentials"
                             % cloud.system_id)
-    spread = _spread(cloud.vectors)
-    for J in cloud.jacobians:
-        yield J / spread[:, None]
+    return cloud.jacobians / _spread(cloud.vectors)[:, None]
 
 
 def intrinsic_dimension(cloud, sv_ratio=SV_RATIO) -> int:
     """Median local rank of the signature differential (0..3)."""
     if len(cloud) < 30:
         raise TooFewSamples("need >= 30 samples, have %d" % len(cloud))
-    dims = []
-    for M in _tangent_matrices(cloud):
-        s = np.linalg.svd(M, compute_uv=False)
-        if s[0] < SV_ZERO:
-            dims.append(0)
-        else:
-            dims.append(int(np.sum(s > sv_ratio * s[0])))
-    dims.sort()
-    return dims[(len(dims) - 1) // 2]
+    s = np.linalg.svd(_tangent_matrices(cloud), compute_uv=False)
+    dims = np.where(s[:, 0] < SV_ZERO, 0, (s > sv_ratio * s[:, :1]).sum(1))
+    return int(np.sort(dims)[(len(dims) - 1) // 2])
 
 
 def chart_margins(cloud) -> dict:
@@ -241,28 +241,15 @@ def chart_margins(cloud) -> dict:
     For every local tangent basis and every 3-subset of (j, j1, j2, j3, k),
     the smallest singular value of the projection of the basis onto the
     triple's coordinates; a triple is a usable chart when the minimum over
-    the cloud stays positive.
+    the cloud stays positive.  A NaN singular value does not count.
     """
-    names = list(CHART_CANDIDATES)
-    triples = [(a, b, c)
-               for ia, a in enumerate(names)
-               for ib, b in enumerate(names[ia + 1:], ia + 1)
-               for c in names[ib + 1:]]
-    margins = {t: np.inf for t in triples}
-    usable_patches = 0
-    for M in _tangent_matrices(cloud):
-        U, s, _ = np.linalg.svd(M, full_matrices=False)
-        if s[0] < SV_ZERO or np.sum(s > SV_RATIO * s[0]) < 3:
-            continue
-        usable_patches += 1
-        Q = U[:, :3]
-        for t in triples:
-            rows = [CHART_CANDIDATES[name] for name in t]
-            sv = np.linalg.svd(Q[rows, :], compute_uv=False)
-            margins[t] = min(margins[t], float(sv[-1]))
-    if usable_patches == 0:
-        return {t: 0.0 for t in triples}
-    return margins
+    U, s, _ = np.linalg.svd(_tangent_matrices(cloud), full_matrices=False)
+    usable = (s[:, 0] >= SV_ZERO) & ((s > SV_RATIO * s[:, :1]).sum(1) >= 3)
+    if not usable.any():
+        return {t: 0.0 for t in _TRIPLES}
+    sv = np.linalg.svd(U[usable][:, _TRIPLE_ROWS], compute_uv=False)
+    worst = np.fmin.reduce(sv[:, :, -1], axis=0, initial=np.inf)
+    return dict(zip(_TRIPLES, map(float, worst)))
 
 
 def select_chart(cloud, margin=CHART_MARGIN):
@@ -552,27 +539,24 @@ def _shared_chart(cloud_f, cloud_g, margin=CHART_MARGIN):
 # -- CSV export ----------------------------------------------------------------
 
 
-def _fmt(v):
-    return format(float(v), ".17g")
-
-
 def export_cloud(cloud: SignatureCloud, path):
     """Write the cloud and a sidecar CSV of skipped points.
 
     Returns (cloud_path, skipped_path); the sidecar name appends `_skipped`
-    to the stem of `path`.
+    to the stem of `path`.  Numbers are written with 17 significant digits.
     """
     import os
 
-    header = "x,u,u1," + ",".join(SIGNATURE_COMPONENTS)
+    columns = ("x", "u", "u1", *SIGNATURE_COMPONENTS)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for p, v in zip(cloud.points, cloud.vectors):
-            fh.write(",".join(_fmt(c) for c in (*p, *v)) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(row % tuple(r) for r in
+                      np.hstack([cloud.points, cloud.vectors]).tolist())
     stem, ext = os.path.splitext(str(path))
     skipped_path = stem + "_skipped" + (ext or ".csv")
     with open(skipped_path, "w", newline="") as fh:
         fh.write("x,u,u1,reason\n")
-        for p, reason in cloud.skipped:
-            fh.write(",".join(_fmt(c) for c in p) + "," + reason + "\n")
+        fh.writelines("%.17g,%.17g,%.17g,%s\n" % (*p, reason)
+                      for p, reason in cloud.skipped)
     return str(path), skipped_path

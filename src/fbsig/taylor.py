@@ -136,6 +136,8 @@ def _as_point(point):
     """Three floats, or for a batch three read-only float arrays of one
     length; an already normalized batch point is returned as it is, so that
     series built on it can be checked for compatibility by identity."""
+    if type(point) is tuple and all(type(c) is float for c in point):
+        return point
     if all(np.ndim(c) == 0 for c in point):
         return tuple(float(c) for c in point)
     if (type(point) is tuple and len(point) == 3

@@ -5,8 +5,10 @@ from scipy.spatial import cKDTree
 
 from fbsig import (DivisionBySingular, SingularTransform, SystemDef,
                    TaylorValue, regularity, system_jet)
-from fbsig.errors import at, check_columns
-from fbsig.signature import PATCH_K, SV_RATIO
+from fbsig.errors import TooFewSamples, at, check_columns
+from fbsig.invariants import SIGNATURE_COMPONENTS
+from fbsig.signature import (CHART_CANDIDATES, PATCH_K, SV_RATIO, SV_ZERO,
+                             _spread)
 from fbsig.taylor import DIV_EPS, simplex
 from fbsig.transform import COND_MAX, _jacobian, _linear_positions, _prolonged
 
@@ -321,3 +323,80 @@ def ref_transformed_taylor(mapping, f_tv: TaylorValue):
         return q0, TaylorValue.constant(rhs.const, q0, 0)
     xi = ref_invert_series(psi, q0)
     return q0, ref_poly_compose(rhs, xi)
+
+
+# -- per-patch reference of the regularity estimates ----------------------------
+#
+# intrinsic_dimension and chart_margins of fbsig.signature written one
+# differential patch and one chart triple at a time, one SVD each.  The
+# stacked versions must reproduce their dimensions and margins bit for bit,
+# with the triples in the same order.
+
+
+def ref_tangent_matrices(cloud):
+    """The cloud's differentials with rows normalized by the value spread."""
+    if cloud.jacobians is None or not len(cloud.jacobians):
+        raise TooFewSamples("cloud %r carries no signature differentials"
+                            % cloud.system_id)
+    spread = _spread(cloud.vectors)
+    for J in cloud.jacobians:
+        yield J / spread[:, None]
+
+
+def ref_intrinsic_dimension(cloud, sv_ratio=SV_RATIO) -> int:
+    """Median local rank of the signature differential (0..3)."""
+    if len(cloud) < 30:
+        raise TooFewSamples("need >= 30 samples, have %d" % len(cloud))
+    dims = []
+    for M in ref_tangent_matrices(cloud):
+        s = np.linalg.svd(M, compute_uv=False)
+        if s[0] < SV_ZERO:
+            dims.append(0)
+        else:
+            dims.append(int(np.sum(s > sv_ratio * s[0])))
+    dims.sort()
+    return dims[(len(dims) - 1) // 2]
+
+
+def ref_chart_margins(cloud) -> dict:
+    """Worst-case tangent-projection margin for each candidate triple."""
+    names = list(CHART_CANDIDATES)
+    triples = [(a, b, c)
+               for ia, a in enumerate(names)
+               for ib, b in enumerate(names[ia + 1:], ia + 1)
+               for c in names[ib + 1:]]
+    margins = {t: np.inf for t in triples}
+    usable_patches = 0
+    for M in ref_tangent_matrices(cloud):
+        U, s, _ = np.linalg.svd(M, full_matrices=False)
+        if s[0] < SV_ZERO or np.sum(s > SV_RATIO * s[0]) < 3:
+            continue
+        usable_patches += 1
+        Q = U[:, :3]
+        for t in triples:
+            rows = [CHART_CANDIDATES[name] for name in t]
+            sv = np.linalg.svd(Q[rows, :], compute_uv=False)
+            margins[t] = min(margins[t], float(sv[-1]))
+    if usable_patches == 0:
+        return {t: 0.0 for t in triples}
+    return margins
+
+
+# -- reference CSV writer -------------------------------------------------------
+
+
+def _fmt(v):
+    return format(float(v), ".17g")
+
+
+def ref_export_cloud(cloud, path, skipped_path):
+    """The cloud CSV and its sidecar, one formatted number at a time."""
+    header = "x,u,u1," + ",".join(SIGNATURE_COMPONENTS)
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for p, v in zip(cloud.points, cloud.vectors):
+            fh.write(",".join(_fmt(c) for c in (*p, *v)) + "\n")
+    with open(skipped_path, "w", newline="") as fh:
+        fh.write("x,u,u1,reason\n")
+        for p, reason in cloud.skipped:
+            fh.write(",".join(_fmt(c) for c in p) + "," + reason + "\n")

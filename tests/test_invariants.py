@@ -14,7 +14,9 @@ from fbsig import (NonRegular, OrderExceeded, apply_nabla, bracket,
                    pullback_from_taylor, regularity, signature_vector,
                    system_jet)
 from fbsig import SystemDef
-from helpers import all_systems, fd_gradient, sample_regular_points
+from fbsig.invariants import _series_getter
+from helpers import (all_systems, fd_gradient, make_system,
+                     sample_regular_points)
 
 
 def S(f_text, name="s", domain=None):
@@ -312,3 +314,22 @@ def test_signature_nonregular_flag():
     with pytest.raises(NonRegular) as err:
         signature_vector(system_jet(S("u1^2"), (0.0, 0.0, 0.0), 4))
     assert err.value.flag == "f"
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_series_getter_partials_bit_identical(batch):
+    # each cached partial is derived from the one below it; every partial up
+    # to order 4 must equal deriving it from the system series anew
+    system = make_system("cubic")
+    points = sample_regular_points(system, 4, seed=11)
+    p = tuple(np.array(c) for c in zip(*points)) if batch else points[0]
+    f_tv = system.taylor(p, 5)
+    g = _series_getter(f_tv, 1)
+    keys = [(i, j, l) for i in range(5) for j in range(5) for l in range(5)
+            if i + j + l <= 4]
+    for key in sorted(keys, key=sum, reverse=True):
+        tv = f_tv
+        for axis, count in enumerate(key):
+            for _ in range(count):
+                tv = tv.derivative(axis)
+        assert np.array_equal(g(*key).coeffs, tv.truncated(1).coeffs), key

@@ -12,7 +12,9 @@ from fbsig import (DependentBasis, EmptyCloud, FeedbackMap, SignatureCloud,
                    system_jet, tresse)
 from fbsig.signature import (CHART_CANDIDATES, EQUIVALENT, INCONCLUSIVE,
                              NOT_EQUIVALENT, chart_margins)
-from helpers import fd_gradient, make_system, sample_regular_points
+from helpers import (CANONICAL, fd_gradient, make_system, ref_chart_margins,
+                     ref_export_cloud, ref_intrinsic_dimension,
+                     sample_regular_points)
 
 SQ = SystemDef.from_strings("sq", "u1^2",
                             {"x": [-1, 1], "u": [-1, 1], "u1": [1, 2]})
@@ -89,6 +91,51 @@ def test_dimension_from_analytic_differentials():
         intrinsic_dimension(cloud)      # no differentials: an error
     cloud.jacobians = np.repeat(D[None], 20, axis=0)
     assert intrinsic_dimension(cloud) == 3
+
+
+def _assert_estimates_match_reference(cloud):
+    assert intrinsic_dimension(cloud) == ref_intrinsic_dimension(cloud)
+    margins, ref = chart_margins(cloud), ref_chart_margins(cloud)
+    assert list(margins) == list(ref)
+    for t in ref:
+        assert type(margins[t]) is float
+        assert np.array_equal(margins[t], ref[t]), t
+
+
+@pytest.mark.parametrize("n", [4, 11])
+@pytest.mark.parametrize("name", sorted(CANONICAL))
+def test_regularity_estimates_match_per_patch_reference(name, n):
+    # one stacked SVD per cloud against one SVD per patch and per triple
+    _assert_estimates_match_reference(build_cloud(make_system(name),
+                                                  (n, n, n)))
+
+
+def test_regularity_estimates_match_reference_on_pushforward():
+    system = make_system("cubic")
+    phi = random_feedback(7, (system.domain.x, system.domain.u))
+    _assert_estimates_match_reference(
+        build_cloud(TransformedSystem(phi, system), (7, 7, 7)))
+
+
+def test_regularity_estimates_match_reference_on_mixed_ranks():
+    # differentials of ranks 0, 1, 3, 3, 3, 2: the median rule takes the
+    # lower of the two middle ranks, and only rank-3 patches give margins
+    rng = np.random.default_rng(4)
+    t = rng.uniform(size=(40, 3))
+    cloud = SignatureCloud("mixed", t, rng.normal(size=(40, 14)), [])
+    diffs = rng.normal(size=(6, 14, 3))
+    diffs[0] = 0.0
+    diffs[1, :, 1:] = 0.0
+    diffs[5, :, 2] = diffs[5, :, 0] - diffs[5, :, 1]
+    cloud.jacobians = diffs
+    assert intrinsic_dimension(cloud) == 2
+    _assert_estimates_match_reference(cloud)
+
+
+def test_chart_margins_without_usable_patch(sq_cloud):
+    # a constant signature: every differential is zero, no patch is usable
+    _assert_estimates_match_reference(sq_cloud)
+    assert set(chart_margins(sq_cloud).values()) == {0.0}
 
 
 def test_select_chart_excludes_degenerate_coordinate():
@@ -343,3 +390,22 @@ def test_export_cloud_format(tmp_path, sq_cloud):
     assert first[3] == "0.5"
     skipped_lines = open(skipped_path).read().splitlines()
     assert skipped_lines[0] == "x,u,u1,reason"
+
+
+def test_export_cloud_bytes_match_reference_writer(tmp_path):
+    # one template per row writes the bytes of one format() call per number
+    rng = np.random.default_rng(3)
+    points = rng.uniform(-2.0, 2.0, size=(6, 3))
+    vectors = rng.normal(size=(6, 14)) * 10.0 ** rng.integers(-300, 300,
+                                                               size=(6, 14))
+    vectors[0, :5] = (np.inf, -np.inf, np.nan, -0.0, 0.0)
+    vectors[1, :4] = (5e-324, -5e-324, 1e308, -1e308)
+    points[2] = (-0.0, 5e-324, 1e308)
+    skipped = [((-0.0, np.inf, 5e-324), "f"),
+               ((1e308, np.nan, 0.1), "non-finite jet")]
+    cloud = SignatureCloud("special", points, vectors, skipped)
+    cloud_path, skipped_path = export_cloud(cloud, tmp_path / "new.csv")
+    ref_export_cloud(cloud, tmp_path / "ref.csv", tmp_path / "ref_skipped.csv")
+    for new, ref in ((cloud_path, "ref.csv"), (skipped_path, "ref_skipped.csv")):
+        with open(new, "rb") as a, open(tmp_path / ref, "rb") as b:
+            assert a.read() == b.read()
