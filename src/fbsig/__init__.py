@@ -28,8 +28,8 @@ from .signature import (SignatureCloud, Verdict, build_cloud, compare,
 from .systems import Box, SystemDef
 from .taylor import (TaylorValue, compose_elementary, lift_variables,
                      poly_compose)
-from .transform import (FeedbackMap, TransformedSystem, compose_maps,
-                        invertibility_check, pushforward_point,
-                        random_feedback, transformed_jet, transformed_taylor)
+from .transform import (FeedbackMap, TransformedSystem, invertibility_check,
+                        pushforward_point, random_feedback, transformed_jet,
+                        transformed_taylor)
 
 __version__ = "0.1.0"

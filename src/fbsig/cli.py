@@ -15,6 +15,10 @@ Systems and feedback maps are declared in a JSON config file:
     }
 
 Subcommands: invariants, signature, equiv, transform, orbit-dim.
+`signature` and `transform` evaluate their grids in blocks and write the
+grid points that fail to a `_skipped.csv` sidecar (x,u,u1,reason) next to
+their CSV; `transform` exits 4 only when the map fails its invertibility
+check or no grid point survives, and then writes no file.
 Exit codes: 0 success (equiv: EQUIVALENT), 1 NOT_EQUIVALENT,
 2 INCONCLUSIVE, 3 configuration/usage errors (including malformed configs
 and points), 4 evaluation errors.
@@ -38,7 +42,8 @@ from .errors import (ConfigError, EmptyCloud, ExpressionSyntaxError,
 from .invariants import (bracket_scalars, eval_J, regularity,
                          signature_vector, system_jet)
 from .signature import (EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT,
-                        build_cloud, compare, export_cloud)
+                        build_cloud, compare, evaluate_grid, export_cloud,
+                        skipped_points, write_skipped, write_table)
 from .systems import SystemDef
 from .taylor import simplex
 from .transform import FeedbackMap, invertibility_check, transformed_taylor
@@ -219,41 +224,46 @@ def cmd_equiv(cfg, args, out):
 def cmd_transform(cfg, args, out):
     system = _get_system(cfg, args.system)
     mapping = _get_map(cfg, args.map)
-    box = (system.domain.x, system.domain.u)
-    report = invertibility_check(mapping, box)
-    if not report.ok:
-        raise NonRegular("map fails invertibility: %s" % report)
-    path = args.out or (args.system + "_" + args.map + "_transform.csv")
-    header = ("x,u,u1,xt,ut,u1t," + ",".join(_jet_col_names()) + ",J_F,J_G")
-    max_err = 0.0
-    rows = [header]
-    # every row is built before the file is opened, so an evaluation error
-    # at any grid point leaves no partial CSV
+    params = np.array(system.domain.grid(cfg.grid))
+    names = ("x", "u", "u1", "xt", "ut", "u1t", *_jet_col_names(),
+             "J_F", "J_G")
+    table = np.zeros((len(params), len(names)))
+    reasons = [None] * len(params)
+
+    def transform_block(idx):
+        base = tuple(params[idx].T)
+        jet_f = system.taylor(base, 2)
+        q, jet_g = transformed_taylor(mapping, jet_f)
+        jf = eval_J(jet_f, cfg.eps_reg)
+        jg = eval_J(jet_g, cfg.eps_reg)
+        table[idx] = np.column_stack([*base, *q, *jet_g.partials, jf, jg])
+
+    # the whole grid is evaluated before a file is opened, so an exit 4
+    # leaves no file
     with np.errstate(all="ignore"):
-        for p in system.domain.grid(cfg.grid):
-            jet_f = system.taylor(p, 2)
-            q, jet_g = transformed_taylor(mapping, jet_f)
-            jf = eval_J(jet_f, cfg.eps_reg)
-            jg = eval_J(jet_g, cfg.eps_reg)
-            max_err = max(max_err, abs(jg - jf) / (1.0 + abs(jf)))
-            rows.append(",".join(_fmt(c) for c in
-                                 (*p, *q, *jet_g.partials, jf, jg)))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
-    out.write("wrote %s\n" % path)
+        report = invertibility_check(mapping, system.domain.intervals[:2])
+        if not report.ok:
+            raise NonRegular("map fails invertibility: %s" % report)
+        evaluate_grid(np.arange(len(params)), transform_block, reasons)
+    kept = table[[r is None for r in reasons]]
+    skipped = skipped_points(params, reasons)
+    if not len(kept):
+        raise EmptyCloud("no grid point survives the transform "
+                         "(%d skipped)" % len(skipped))
+    jf, jg = kept[:, -2], kept[:, -1]
+    max_err = np.fmax.reduce(abs(jg - jf) / (1.0 + abs(jf)), initial=0.0)
+    path = args.out or (args.system + "_" + args.map + "_transform.csv")
+    write_table(path, names, kept)
+    skipped_path = write_skipped(skipped, path)
+    out.write("wrote %s and %s\n" % (path, skipped_path))
     out.write("max relative invariance error |J_G - J_F|/(1+|J_F|): %s\n"
               % _fmt(max_err))
     return EXIT_OK
 
 
 def _jet_col_names():
-    names = []
-    for (i, j, l) in simplex(2):
-        if i == j == l == 0:
-            names.append("g")
-        else:
-            names.append("g_" + "x" * i + "u" * j + "u1" * l)
-    return names
+    return ["g_" + "x" * i + "u" * j + "u1" * l if i + j + l else "g"
+            for i, j, l in simplex(2)]
 
 
 def cmd_orbit_dim(cfg, args, out):

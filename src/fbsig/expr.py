@@ -345,17 +345,3 @@ def to_string(node, parent_prec=0):
                               to_string(node.right, prec + 1))
         return "(%s)" % s if parent_prec > prec else s
     raise TypeError("not an AST node: %r" % (node,))
-
-
-def substitute(node, mapping):
-    """Replace variables by AST fragments (used to compose feedback maps)."""
-    if isinstance(node, Var):
-        return mapping.get(node.name, node)
-    if isinstance(node, Neg):
-        return Neg(substitute(node.arg, mapping))
-    if isinstance(node, Bin):
-        return Bin(node.op, substitute(node.left, mapping),
-                   substitute(node.right, mapping))
-    if isinstance(node, Call):
-        return Call(node.fn, substitute(node.arg, mapping))
-    return node

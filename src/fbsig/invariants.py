@@ -228,18 +228,27 @@ def _partial(partials, key):
 # -- point evaluation ----------------------------------------------------------
 
 
-def eval_J(jet: TaylorValue, eps=EPS_REG) -> float:
+def eval_J(jet: TaylorValue, eps=EPS_REG):
     """The basic order-2 invariant f^2 f_u1u1 / ((u1 f_u1 - f) f_u1^2)."""
     _require_regular(jet, eps)
-    return float(_J_formula(lambda *s: jet.partial(s), jet.point[2]))
+    return _at_jet(_J_formula, jet)
 
 
-def eval_K(jet: TaylorValue, eps=EPS_REG) -> float:
+def eval_K(jet: TaylorValue, eps=EPS_REG):
     """The order-3 invariant in closed form (cross-checked by the brackets)."""
     if jet.degree < 3:
         raise OrderExceeded("K needs a jet of order >= 3")
     _require_regular(jet, eps)
-    return float(_K_formula(lambda *s: jet.partial(s), jet.point[2]))
+    return _at_jet(_K_formula, jet)
+
+
+def _at_jet(formula, jet):
+    """`formula` on the partials of a jet (of eval_J, eval_K): a float at
+    one point, one value per column for a batch."""
+    values, pos = jet.partials, index_map(jet.degree)
+    if values.ndim == 1:
+        values = values.tolist()
+    return formula(lambda *s: values[pos[s]], jet.point[2])
 
 
 # -- pullbacks and derivations --------------------------------------------------

@@ -14,7 +14,9 @@ different scales.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -124,16 +126,14 @@ def build_cloud(system, grid, eps=EPS_REG, system_id=None) -> SignatureCloud:
     reasons = [None] * n
     with np.errstate(all="ignore"):
         for degree, chosen in ((1, index[with_diff]), (0, index[~with_diff])):
-            for start in range(0, chosen.size, BLOCK_COLUMNS):
-                _evaluate_block(system, transformed, params,
-                                chosen[start:start + BLOCK_COLUMNS], degree,
-                                eps, points, vectors, diffs, reasons)
+            evaluate_grid(chosen, partial(
+                _signature_block, system, transformed, params, degree, eps,
+                points, vectors, diffs), reasons)
         kept = np.array([r is None for r in reasons])
         if transformed and kept.any():
             _check_fold(system, params[kept])
 
-    skipped = [(tuple(map(float, points[i])), reasons[i])
-               for i in np.flatnonzero(~kept)]
+    skipped = skipped_points(points, reasons)
     if not kept.any():
         raise EmptyCloud("no regular grid point in the sampled domain "
                          "(%d skipped)" % len(skipped))
@@ -153,39 +153,39 @@ def build_cloud(system, grid, eps=EPS_REG, system_id=None) -> SignatureCloud:
     return cloud
 
 
-def _evaluate_block(system, transformed, params, idx, degree, eps,
-                    points, vectors, diffs, reasons):
-    """Signature values (and at degree 1 differentials) of the grid points
-    `idx`, written into the rows `idx` of the output arrays.
+def evaluate_grid(indices, stage, reasons):
+    """Run `stage(idx)` over the grid indices `indices` in blocks of at most
+    BLOCK_COLUMNS, one column per grid point.
 
-    A failure is recorded for the columns it names, with `reasons[i]`, and
-    the rest of the block is evaluated again; each check sees the columns in
-    the same program order as one point would, so every point keeps the
-    reason a per-point evaluation gives it.
+    A failure of a block is recorded for the columns it names, with
+    `reasons[i]`, and the stage runs again on the rest of the block.  The
+    stage runs its checks on the columns in the program order of one point,
+    so every point keeps the reason a per-point evaluation gives it.
     """
-    while idx.size:
-        base = tuple(params[idx].T)
-        try:
-            q, f_tv = (system.taylor_at_source(base, 4 + degree) if transformed
-                       else (base, system.taylor(base, 4 + degree)))
-        except _SKIPPED as exc:
-            idx = idx[_record_failure(exc, idx, reasons)]
-            continue
-        points[idx] = np.column_stack(q)
-        break
-    while idx.size:
-        try:
-            series = signature_series(f_tv, degree, eps)
-        except _SKIPPED as exc:
-            rest = _record_failure(exc, idx, reasons)
-            f_tv, idx = f_tv.select(rest), idx[rest]
-            continue
-        vectors[idx] = np.column_stack([c.const for c in series])
-        if degree:
-            diffs[idx] = np.moveaxis(
-                np.array([[c.partial(e) for e in _AXES] for c in series]),
-                -1, 0)
-        return
+    for start in range(0, indices.size, BLOCK_COLUMNS):
+        idx = indices[start:start + BLOCK_COLUMNS]
+        while idx.size:
+            try:
+                stage(idx)
+                break
+            except _SKIPPED as exc:
+                idx = idx[_record_failure(exc, idx, reasons)]
+
+
+def _signature_block(system, transformed, params, degree, eps,
+                     points, vectors, diffs, idx):
+    """Signature values (and at degree 1 differentials) of the grid points
+    `idx`, written into the rows `idx` of the output arrays; the image
+    points are written as soon as they are known."""
+    base = tuple(params[idx].T)
+    q, f_tv = (system.taylor_at_source(base, 4 + degree) if transformed
+               else (base, system.taylor(base, 4 + degree)))
+    points[idx] = np.column_stack(q)
+    series = signature_series(f_tv, degree, eps)
+    vectors[idx] = np.column_stack([c.const for c in series])
+    if degree:
+        diffs[idx] = np.moveaxis(
+            np.array([[c.partial(e) for e in _AXES] for c in series]), -1, 0)
 
 
 def _check_fold(system, params):
@@ -210,6 +210,13 @@ def _record_failure(exc, idx, reasons):
     for i in idx[~rest]:
         reasons[i] = reason
     return rest
+
+
+def skipped_points(points, reasons):
+    """[(point, reason), ...] of the rows of `points` with a recorded
+    failure, in grid-index order."""
+    return [(tuple(map(float, points[i])), reason)
+            for i, reason in enumerate(reasons) if reason is not None]
 
 
 def _spread(values, floor=1e-12):
@@ -542,21 +549,30 @@ def _shared_chart(cloud_f, cloud_g, margin=CHART_MARGIN):
 def export_cloud(cloud: SignatureCloud, path):
     """Write the cloud and a sidecar CSV of skipped points.
 
-    Returns (cloud_path, skipped_path); the sidecar name appends `_skipped`
-    to the stem of `path`.  Numbers are written with 17 significant digits.
+    Returns (cloud_path, skipped_path); see `write_skipped` for the sidecar.
+    Numbers are written with 17 significant digits.
     """
-    import os
+    write_table(path, ("x", "u", "u1", *SIGNATURE_COMPONENTS),
+                np.hstack([cloud.points, cloud.vectors]))
+    return str(path), write_skipped(cloud.skipped, path)
 
-    columns = ("x", "u", "u1", *SIGNATURE_COMPONENTS)
+
+def write_table(path, columns, table):
+    """Write the header `columns` and the rows of `table` as CSV."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(row % tuple(r) for r in
-                      np.hstack([cloud.points, cloud.vectors]).tolist())
+        fh.writelines(row % tuple(r) for r in table.tolist())
+
+
+def write_skipped(skipped, path):
+    """Write the skipped points [(point, reason), ...] of the CSV `path` to
+    its sidecar, whose name appends `_skipped` to the stem of `path`;
+    returns the sidecar path."""
     stem, ext = os.path.splitext(str(path))
     skipped_path = stem + "_skipped" + (ext or ".csv")
     with open(skipped_path, "w", newline="") as fh:
         fh.write("x,u,u1,reason\n")
         fh.writelines("%.17g,%.17g,%.17g,%s\n" % (*p, reason)
-                      for p, reason in cloud.skipped)
-    return str(path), skipped_path
+                      for p, reason in skipped)
+    return skipped_path

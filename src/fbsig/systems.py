@@ -24,9 +24,9 @@ class Box:
     def __post_init__(self):
         for name in ("x", "u", "u1"):
             lo, hi = getattr(self, name)
-            if not (lo <= hi):
-                raise ConfigError("empty interval for %s: [%g, %g]"
-                                  % (name, lo, hi))
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+                raise ConfigError("interval for %s is not finite and "
+                                  "nonempty: [%g, %g]" % (name, lo, hi))
 
     @classmethod
     def from_dict(cls, d):

@@ -297,14 +297,6 @@ class TaylorValue:
         out[dst] = self.coeffs[src] * _per_column(fac, self.coeffs.ndim)
         return TaylorValue._trusted(self.point, self.degree - 1, out)
 
-    def select(self, columns) -> "TaylorValue":
-        """The batch restricted to the given columns (indices or a mask)."""
-        if self.coeffs.ndim == 1:
-            raise ValueError("select needs a batch")
-        point = _as_point(tuple(c[columns] for c in self.point))
-        return TaylorValue._trusted(point, self.degree,
-                                    self.coeffs[:, columns])
-
     def __repr__(self):
         if self.coeffs.ndim == 2:
             return ("TaylorValue(batch of %d points, degree=%d)"

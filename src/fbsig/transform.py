@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SingularTransform, at, check_columns
-from .expr import Expression, parse, substitute, to_string
+from .expr import Expression, parse
 from .systems import Box
 from .taylor import (TaylorValue, _compose, index_map, lift_variables,
                      n_terms, poly_compose)
@@ -202,13 +202,6 @@ class TransformedSystem:
         _, psi = _prolonged(self.mapping, f_tv)
         return det * np.linalg.det(_jacobian(psi))
 
-    def image_box(self, counts=(5, 5, 5)) -> Box:
-        """Bounding box of the sampled image of the source domain."""
-        grid = np.array(self.source_domain.grid(counts))
-        q, _ = self.taylor_at_source(tuple(grid.T), 0)
-        return Box(x=(q[0].min(), q[0].max()), u=(q[1].min(), q[1].max()),
-                   u1=(q[2].min(), q[2].max()))
-
 
 @dataclass(frozen=True)
 class InvertibilityReport:
@@ -242,15 +235,6 @@ def invertibility_check(mapping: FeedbackMap, domain=None, n_samples=9,
     return InvertibilityReport(ok=violation is None,
                                min_abs_xp=float(axp.min()),
                                min_abs_uu=float(auu.min()), violation=violation)
-
-
-def compose_maps(outer: FeedbackMap, inner: FeedbackMap) -> FeedbackMap:
-    """The map Phi_outer o Phi_inner, built by composing the expressions."""
-    x_ast = substitute(outer.X.ast, {"x": inner.X.ast})
-    u_ast = substitute(outer.U.ast, {"x": inner.X.ast, "u": inner.U.ast})
-    return FeedbackMap(X=parse(to_string(x_ast), {"x"}),
-                       U=parse(to_string(u_ast), {"x", "u"}),
-                       domain=inner.domain)
 
 
 def random_feedback(seed, domain=((-1.0, 1.0), (-1.0, 1.0))) -> FeedbackMap:

@@ -3,12 +3,14 @@
 import numpy as np
 from scipy.spatial import cKDTree
 
-from fbsig import (DivisionBySingular, SingularTransform, SystemDef,
-                   TaylorValue, regularity, system_jet)
+from fbsig import (DivisionBySingular, NonRegular, SingularTransform,
+                   SystemDef, TaylorValue, regularity, system_jet,
+                   transformed_taylor)
 from fbsig.errors import TooFewSamples, at, check_columns
-from fbsig.invariants import SIGNATURE_COMPONENTS
-from fbsig.signature import (CHART_CANDIDATES, PATCH_K, SV_RATIO, SV_ZERO,
-                             _spread)
+from fbsig.invariants import (EPS_REG, SIGNATURE_COMPONENTS, _J_formula,
+                              _require_regular)
+from fbsig.signature import (CHART_CANDIDATES, PATCH_K, SKIP_REASONS,
+                             SV_RATIO, SV_ZERO, _spread)
 from fbsig.taylor import DIV_EPS, simplex
 from fbsig.transform import COND_MAX, _jacobian, _linear_positions, _prolonged
 
@@ -400,3 +402,42 @@ def ref_export_cloud(cloud, path, skipped_path):
         fh.write("x,u,u1,reason\n")
         for p, reason in cloud.skipped:
             fh.write(",".join(_fmt(c) for c in p) + "," + reason + "\n")
+
+
+# -- per-point reference of `fbsig transform` -----------------------------------
+
+
+TRANSFORM_HEADER = ("x,u,u1,xt,ut,u1t,g,g_u1,g_u,g_x,g_u1u1,g_uu1,g_uu,"
+                    "g_xu1,g_xu,g_xx,J_F,J_G")
+
+
+def ref_eval_J(jet, eps=EPS_REG) -> float:
+    """J at one point, from one `partial` call per derivative."""
+    _require_regular(jet, eps)
+    return float(_J_formula(lambda *s: jet.partial(s), jet.point[2]))
+
+
+def ref_transform_rows(system, mapping, grid, eps=EPS_REG):
+    """The transform table one grid point at a time: (CSV text, sidecar
+    text, max relative invariance error).
+
+    A point whose evaluation raises is recorded in the sidecar at its grid
+    point with the reason a cloud gives it, instead of ending the loop.
+    """
+    rows, skipped, max_err = [TRANSFORM_HEADER], ["x,u,u1,reason"], 0.0
+    with np.errstate(all="ignore"):
+        for p in system.domain.grid(grid):
+            try:
+                jet_f = system.taylor(p, 2)
+                q, jet_g = transformed_taylor(mapping, jet_f)
+                jf = ref_eval_J(jet_f, eps)
+                jg = ref_eval_J(jet_g, eps)
+            except (NonRegular, *SKIP_REASONS) as exc:
+                reason = (exc.flag if isinstance(exc, NonRegular)
+                          else SKIP_REASONS[type(exc)])
+                skipped.append(",".join(_fmt(c) for c in p) + "," + reason)
+                continue
+            max_err = max(max_err, abs(jg - jf) / (1.0 + abs(jf)))
+            rows.append(",".join(_fmt(c) for c in
+                                 (*p, *q, *jet_g.partials, jf, jg)))
+    return "\n".join(rows) + "\n", "\n".join(skipped) + "\n", max_err

@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, output formats, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -7,7 +8,9 @@ import warnings
 
 import pytest
 
-from fbsig.cli import main
+from fbsig import EmptyCloud, random_feedback
+from fbsig.cli import cmd_transform, load_config, main
+from helpers import ref_transform_rows
 
 CONFIG = {
     "systems": {
@@ -170,10 +173,14 @@ def test_signature_records_non_finite_jets(config_path, tmp_path):
     ({}, ["--tol", "inf"]),
     ({}, ["--point", "0,0,nan"]),
     ({}, ["--point", "inf,0,1"]),
+    ({"systems": dict(CONFIG["systems"], sq={
+        "f": "u1^2",
+        "domain": {"x": [0, float("inf")], "u": [-1, 1], "u1": [1, 2]}})},
+     []),
 ], ids=["not-object", "grid-str", "grid-11.9", "grid-2.5", "grid-true",
         "grid-not-list", "tol-nan", "overlap-inf", "overlap-1.5", "eps-nan",
         "tol-huge", "seed-1.5", "cli-tol-nan", "cli-tol-inf", "point-nan",
-        "point-inf"])
+        "point-inf", "domain-inf"])
 def test_malformed_config_exits_3(tmp_path, patch, extra):
     raw = dict(CONFIG, **patch) if isinstance(patch, dict) else patch
     path = tmp_path / "config.json"
@@ -213,25 +220,110 @@ def test_transform_invariance_report(config_path, tmp_path):
     assert len(rows) == 126
 
 
-def test_transform_noninvertible_map(config_path):
+def test_transform_noninvertible_map(config_path, tmp_path):
+    out_csv = tmp_path / "t.csv"
     code, text = run(["transform", "--config", config_path, "--system", "sq",
-                      "--map", "bad"])
+                      "--map", "bad", "--out", str(out_csv)])
     assert code == 4
     assert "VIOLATION" in text
+    assert not out_csv.exists()
+    assert not (tmp_path / "t_skipped.csv").exists()
 
 
-def test_transform_overflow_leaves_no_partial_csv(config_path, tmp_path):
-    out_csv = tmp_path / "t.csv"
+@pytest.mark.parametrize("name, axis, planes, reason", [
+    # exp(1000*x) overflows on the x = 0.75 and x = 1 grid planes, where the
+    # prolonged Jacobian is not finite
+    ("overflow", 0, ("0.75", "1"), "singular transform"),
+    # log(u1) fails on the u1 = -1 and u1 = -0.25 grid planes only
+    ("logu1", 2, ("-1", "-0.25"), "domain error"),
+], ids=["overflow", "logu1"])
+def test_transform_records_failing_points(config_path, tmp_path, name, axis,
+                                          planes, reason):
+    out_csv, skipped_csv = tmp_path / "t.csv", tmp_path / "t_skipped.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, text = run(["transform", "--config", config_path, "--system",
-                          "overflow", "--map", "double", "--out",
-                          str(out_csv)])
-    assert code == 4
-    assert text == ("evaluation error: prolonged Jacobian is singular "
-                    "(condition inf)\n")
+                          name, "--map", "double", "--out", str(out_csv)])
+    assert code == 0, text
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert text.splitlines()[0] == "wrote %s and %s" % (out_csv, skipped_csv)
+    assert len(out_csv.read_text().splitlines()) == 76
+    skipped = skipped_csv.read_text().splitlines()
+    assert len(skipped) == 51
+    assert all(line.split(",")[axis] in planes for line in skipped[1:])
+    assert all(line.endswith("," + reason) for line in skipped[1:])
+
+
+def test_transform_without_surviving_points_writes_no_file(config_path,
+                                                           tmp_path):
+    # u1 has f_u1u1 = 0 at every grid point
+    out_csv = tmp_path / "t.csv"
+    code, text = run(["transform", "--config", config_path, "--system", "lin",
+                      "--map", "double", "--out", str(out_csv)])
+    assert code == 4
+    assert text == ("evaluation error: no grid point survives the transform "
+                    "(125 skipped)\n")
     assert not out_csv.exists()
+    assert not (tmp_path / "t_skipped.csv").exists()
+
+
+def test_transform_invertibility_check_without_warnings(tmp_path):
+    # 2*x overflows on the whole x interval; every point fails as a
+    # non-finite jet
+    raw = dict(CONFIG, systems={"big": {
+        "f": "u1^2",
+        "domain": {"x": [1e308, 1.7e308], "u": [-1, 1], "u1": [1, 2]}}})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, text = run(["transform", "--config", str(path), "--system",
+                          "big", "--map", "double", "--out",
+                          str(tmp_path / "t.csv")])
+    assert code == 4
+    assert "no grid point survives" in text
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _check_transform_against_reference(cfg, system, mapping, tmp_path):
+    """`cmd_transform` writes the rows, sidecar and max-error line of the
+    per-point reference, byte for byte."""
+    out_csv, skipped_csv = tmp_path / "t.csv", tmp_path / "t_skipped.csv"
+    for path in (out_csv, skipped_csv):
+        if path.exists():
+            path.unlink()
+    rows, skipped, max_err = ref_transform_rows(
+        cfg.systems[system], cfg.maps[mapping], cfg.grid, cfg.eps_reg)
+    args = argparse.Namespace(system=system, map=mapping, out=str(out_csv))
+    out = io.StringIO()
+    if rows.count("\n") == 1:
+        with pytest.raises(EmptyCloud):
+            cmd_transform(cfg, args, out)
+        assert not out_csv.exists() and not skipped_csv.exists()
+        return
+    assert cmd_transform(cfg, args, out) == 0
+    assert out_csv.read_bytes().decode() == rows
+    assert skipped_csv.read_bytes().decode() == skipped
+    assert out.getvalue().splitlines()[1] == (
+        "max relative invariance error |J_G - J_F|/(1+|J_F|): %s"
+        % format(max_err, ".17g"))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG["systems"]))
+def test_transform_matches_per_point_reference(config_path, tmp_path, name):
+    _check_transform_against_reference(load_config(config_path), name,
+                                       "double", tmp_path)
+
+
+@pytest.mark.parametrize("count", [4, 7])
+def test_transform_random_maps_match_per_point_reference(config_path,
+                                                         tmp_path, count):
+    cfg = load_config(config_path)
+    cfg.grid = (count, count, count)
+    box = cfg.systems["cubic"].domain
+    for seed in range(2, 10):
+        cfg.maps["random"] = random_feedback(seed, (box.x, box.u))
+        _check_transform_against_reference(cfg, "cubic", "random", tmp_path)
 
 
 def test_orbit_dim_table(config_path):

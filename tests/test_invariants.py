@@ -15,7 +15,7 @@ from fbsig import (NonRegular, OrderExceeded, apply_nabla, bracket,
                    system_jet)
 from fbsig import SystemDef
 from fbsig.invariants import _series_getter
-from helpers import (all_systems, fd_gradient, make_system,
+from helpers import (all_systems, fd_gradient, make_system, ref_eval_J,
                      sample_regular_points)
 
 
@@ -91,6 +91,28 @@ def test_eval_J_nonregular():
         eval_J(system_jet(S("u1^2"), (0.0, 0.0, 0.0), 2))
     with pytest.raises(NonRegular):
         eval_J(system_jet(S("u1"), (0.0, 0.0, 1.0), 2))
+
+
+def test_eval_J_and_K_batch_match_points():
+    system = make_system("mix")
+    pts = sample_regular_points(system, 6, seed=5)
+    batch = tuple(np.array(pts).T)
+    for order, fn in ((2, eval_J), (3, eval_K)):
+        values = fn(system_jet(system, batch, order))
+        singles = [fn(system_jet(system, p, order)) for p in pts]
+        assert all(type(v) is float for v in singles)
+        assert values.shape == (6,)
+        assert np.array_equal(values, singles)
+    assert [ref_eval_J(system_jet(system, p, 2)) for p in pts] == [
+        eval_J(system_jet(system, p, 2)) for p in pts]
+
+
+def test_eval_J_batch_names_failing_columns():
+    batch = (np.zeros(4), np.zeros(4), np.array([1.0, 0.0, 2.0, 0.0]))
+    with pytest.raises(NonRegular) as info:
+        eval_J(system_jet(S("u1^2"), batch, 2))
+    assert info.value.flag == "f"
+    assert info.value.columns.tolist() == [1, 3]
 
 
 # -- K ------------------------------------------------------------------------

@@ -10,8 +10,10 @@ from fbsig import (DependentBasis, EmptyCloud, FeedbackMap, SignatureCloud,
                    pullback_from_taylor, pushforward_point, random_feedback,
                    select_chart, signature_series, signature_vector,
                    system_jet, tresse)
-from fbsig.signature import (CHART_CANDIDATES, EQUIVALENT, INCONCLUSIVE,
-                             NOT_EQUIVALENT, chart_margins)
+from fbsig.errors import DomainError, NonRegular, check_columns
+from fbsig.signature import (BLOCK_COLUMNS, CHART_CANDIDATES, EQUIVALENT,
+                             INCONCLUSIVE, NOT_EQUIVALENT, chart_margins,
+                             evaluate_grid)
 from helpers import (CANONICAL, fd_gradient, make_system, ref_chart_margins,
                      ref_export_cloud, ref_intrinsic_dimension,
                      sample_regular_points)
@@ -409,3 +411,27 @@ def test_export_cloud_bytes_match_reference_writer(tmp_path):
     for new, ref in ((cloud_path, "ref.csv"), (skipped_path, "ref_skipped.csv")):
         with open(new, "rb") as a, open(tmp_path / ref, "rb") as b:
             assert a.read() == b.read()
+
+
+def test_evaluate_grid_records_and_retries():
+    # multiples of 3 fail a first check, the other multiples of 5 a second
+    n = 2 * BLOCK_COLUMNS + 88
+    done, blocks = np.zeros(n, dtype=bool), []
+
+    def stage(idx):
+        blocks.append(idx)
+        check_columns(idx % 3 == 0, lambda i: DomainError("three"))
+        check_columns(idx % 5 == 0, lambda i: NonRegular("f", 0.0))
+        done[idx] = True
+
+    reasons = [None] * n
+    evaluate_grid(np.arange(n), stage, reasons)
+    assert reasons == ["domain error" if i % 3 == 0 else "f" if i % 5 == 0
+                       else None for i in range(n)]
+    assert done.tolist() == [r is None for r in reasons]
+    # three blocks, each run on all its columns, on the columns left after
+    # the first check and on those left after the second
+    assert len(blocks) == 9
+    assert max(len(b) for b in blocks) == BLOCK_COLUMNS
+    assert blocks[2].tolist() == [i for i in range(BLOCK_COLUMNS)
+                                  if i % 3 and i % 5]

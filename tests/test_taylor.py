@@ -325,20 +325,15 @@ def test_batch_failures_name_their_columns():
     assert exc.value.columns is None
 
 
-def test_batch_select_and_validation():
+def test_batch_validation():
     pts = (np.arange(4.0), np.zeros(4), np.ones(4))
     xv = lift_variables(pts, 1)[0]
-    two = xv.select(np.array([False, True, False, True]))
-    assert list(two.const) == [1.0, 3.0]
-    assert list(two.point[0]) == [1.0, 3.0]
     with pytest.raises(ValueError):
         TaylorValue(pts, 1, np.zeros((4, 3)))        # 3 columns, 4 points
     with pytest.raises(ValueError):
         xv + lift_variables((np.arange(4.0) + 1, np.zeros(4), np.ones(4)), 1)[0]
     with pytest.raises(ValueError):
-        xv.select([0]).coeffs.__setitem__(0, 1.0)     # read-only
-    with pytest.raises(ValueError):
-        lift_variables((1.0, 2.0, 3.0), 1)[0].select([0])
+        xv.coeffs.__setitem__(0, 1.0)                 # read-only
 
 
 def test_overflow_gives_non_finite_columns_only():
