@@ -38,6 +38,14 @@ _TRIPLE_ROWS = np.array([[CHART_CANDIDATES[name] for name in t]
 #: Local patch size for the comparison estimates.
 PATCH_K = 12
 
+#: The lower bound of a sample's patch distance is lowered by this fraction
+#: of the lengths it is computed from, |q - c| + r.  On flat patches with
+#: queries far out in their plane, where the distance is |q - c| - r, the
+#: rounding of the tangent fit put the computed distance up to 10 ulps of
+#: |q - c| + r below it; a sample is passed over only when the fit cannot
+#: bring it level with the closest distance found.
+PRUNE_MARGIN = 1e-9
+
 #: About this many grid points per cloud carry an exact differential.
 DIFFERENTIAL_PATCHES = 100
 
@@ -302,37 +310,66 @@ class Verdict:
 
 @dataclass(frozen=True)
 class _Approach:
-    """How close each sample of one normalized cloud comes to another.
+    """How close each sample of one normalized cloud can come to another.
 
-    `gap[i]` is sample i's full-space patch distance to the target cloud,
-    `idx[i]` the indices of that patch in the target, and `tree` the
-    target's kd-tree.
+    `idx[i]` holds the indices of sample i's patch in the target `pts`,
+    `tree` is the target's kd-tree, and `lower[i]` a lower bound on sample
+    i's patch distance, which `gaps` computes.
     """
 
-    gap: np.ndarray              # (n,)
+    queries: np.ndarray          # (n, 14)
+    pts: np.ndarray              # (m, 14)
     idx: np.ndarray              # (n, k_eff)
     tree: cKDTree
+    lower: np.ndarray            # (n,)
+
+    def gaps(self, rows):
+        """Full-space patch distances of the samples `rows`, fitted in
+        stacks of at most BLOCK_COLUMNS; a sample's distance does not depend
+        on the samples fitted with it."""
+        gap = np.empty(len(rows))
+        for start in range(0, gap.size, BLOCK_COLUMNS):
+            r = rows[start:start + BLOCK_COLUMNS]
+            gap[start:start + r.size] = _tangent_gaps(self.queries[r],
+                                                      self.pts, self.idx[r])
+        return gap
 
 
-def _patch_distances(queries, pts, k=PATCH_K) -> _Approach:
-    """Distance from each query to a local-tangent approximation of `pts`.
+def _approach(queries, pts, k=PATCH_K) -> _Approach:
+    """The patches of all queries from one kd-tree query of their k nearest
+    points in `pts`, and the lower bounds of their patch distances.
 
-    All queries share one kd-tree query for their patches of k nearest
-    points; the patches are fitted in stacks of BLOCK_COLUMNS.
+    With c and r the centroid and radius of a query's patch, the clipped
+    tangent distance of `_tangent_gaps` is at least |q - c| - r: for the
+    in-plane part t <= |q - c| of q - c, gap^2 = |q - c|^2 - t^2 +
+    max(0, t - r)^2 >= (|q - c| - r)^2.  The bound is lowered by
+    PRUNE_MARGIN of |q - c| + r for the rounding of the fit, and a NaN bound
+    becomes 0, so no bound exceeds the distance `gaps` computes.
     """
     tree = cKDTree(pts)
     idx = _knn(tree, queries, min(k, pts.shape[0]))[1]
-    gap = np.concatenate([
-        _tangent_gaps(queries[start:start + BLOCK_COLUMNS], pts,
-                      idx[start:start + BLOCK_COLUMNS])
-        for start in range(0, queries.shape[0], BLOCK_COLUMNS)])
-    return _Approach(gap, idx, tree)
+    lower = np.empty(queries.shape[0])
+    for start in range(0, lower.size, BLOCK_COLUMNS):
+        rows = slice(start, start + BLOCK_COLUMNS)
+        _, w, radius = _centred_patches(queries[rows], pts, idx[rows])
+        dist = _norms(w)
+        lower[rows] = dist - radius - PRUNE_MARGIN * (dist + radius)
+    return _Approach(queries, pts, idx, tree, np.fmax(lower, 0.0))
 
 
 def _knn(tree, queries, k):
     """Distances and indices (n, k) of the k nearest neighbours."""
     d, idx = tree.query(queries, k)
     return d.reshape(-1, k), idx.reshape(-1, k)
+
+
+def _centred_patches(queries, pts, idx):
+    """The patches pts[idx] less their centroids c, the offsets q - c of the
+    queries and the patch radii."""
+    Y = pts[idx]
+    c = Y.mean(axis=1)
+    Y -= c[:, None, :]
+    return Y, queries - c, np.sqrt((Y ** 2).sum(axis=2).max(axis=1))
 
 
 def _tangent_gaps(queries, pts, idx):
@@ -343,11 +380,7 @@ def _tangent_gaps(queries, pts, idx):
     the fitted tangent plane is never extrapolated far beyond the data;
     this keeps the estimate a sound lower bound up to curvature terms.
     """
-    Y = pts[idx]
-    c = Y.mean(axis=1)
-    Y -= c[:, None, :]
-    radius = np.sqrt((Y ** 2).sum(axis=2).max(axis=1))
-    w = queries - c
+    Y, w, radius = _centred_patches(queries, pts, idx)
     _, s, Vt = np.linalg.svd(Y, full_matrices=False)
     rank = np.where(s[:, 0] > 1e-15, (s > SV_RATIO * s[:, :1]).sum(1), 0)
     inplane = np.zeros_like(w)
@@ -367,18 +400,47 @@ def _norms(rows):
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
-def _separation(va, vb, k=PATCH_K):
+def _separation(va, vb, enough=-np.inf, k=PATCH_K):
     """Min patch distance between the normalized clouds, both directions.
 
     Returns ((distance, side, sample index), approach of F to G, approach
     of G to F).  The witness of a separation is the sample that gets least
     close: the lowest index of the closest side, F before G on a tie.
+
+    The samples of both sides are fitted in ascending order of their lower
+    bounds, in chunks of BLOCK_COLUMNS, until every bound left exceeds the
+    closest distance found, which is then the minimum over all samples.
+    With `enough`, the search also stops once a distance is at most
+    `enough`, and the result is only the closest sample fitted so far.
     """
-    near_f, near_g = _patch_distances(va, vb, k), _patch_distances(vb, va, k)
-    i, j = int(np.argmin(near_f.gap)), int(np.argmin(near_g.gap))
-    best = ((float(near_f.gap[i]), "F", i) if near_f.gap[i] <= near_g.gap[j]
-            else (float(near_g.gap[j]), "G", j))
+    near_f, near_g = _approach(va, vb, k), _approach(vb, va, k)
+    n_f = va.shape[0]
+    lower = np.concatenate([near_f.lower, near_g.lower])
+    order = np.argsort(lower, kind="stable")
+    lower = lower[order]
+    # samples never fitted keep an infinite distance; their bounds exceed
+    # the closest distance, so they cannot be the witness
+    gap = np.full(order.size, np.inf)
+    start, stop = 0, order.size
+    while start < stop:
+        rows = order[start:min(start + BLOCK_COLUMNS, stop)]
+        start += rows.size
+        of_f, of_g = rows[rows < n_f], rows[rows >= n_f]
+        gap[of_f] = near_f.gaps(of_f)
+        gap[of_g] = near_g.gaps(of_g - n_f)
+        best = _closest(gap[:n_f], gap[n_f:])
+        if best[0] <= enough:
+            break
+        stop = int(np.searchsorted(lower, best[0], side="right"))
     return best, near_f, near_g
+
+
+def _closest(gap_f, gap_g):
+    """(distance, side, index) of the closest sample: the lowest index of
+    the closer side, F before G on a tie."""
+    i, j = int(np.argmin(gap_f)), int(np.argmin(gap_g))
+    return ((float(gap_f[i]), "F", i) if gap_f[i] <= gap_g[j]
+            else (float(gap_g[j]), "G", j))
 
 
 def _graph_residuals(src_chart, src_resp, dst_chart, dst_resp, tol, near,
@@ -429,13 +491,26 @@ def _graph_residuals(src_chart, src_resp, dst_chart, dst_resp, tol, near,
                           & (resid > 5.0 * misfit))
     certified = None
     if cand.size:
-        fself = _knn(near.tree, near.tree.data, min(k_eff + 1, m))[0][:, -1]
-        r_loc = np.median(fself[near.idx[cand]], axis=1)
-        gap = near.gap[cand]
+        r_loc = _local_spacing(near, cand, k_eff)
+        gap = near.gaps(cand)
         hits = cand[(gap > 10.0 * tol) & (gap > 3.0 * r_loc)]
         if hits.size:
             certified = (int(hits[0]), float(resid[hits[0]]))
     return int(covered.sum()), max_resid, certified
+
+
+def _local_spacing(near, rows, k):
+    """Full-space sample spacing of the target around the samples `rows`.
+
+    The median, over each sample's patch, of a patch member's distance to
+    its k-th nearest target sample other than itself.  Only the target
+    samples in these patches are queried.
+    """
+    patches = near.idx[rows]
+    used, at = np.unique(patches, return_inverse=True)
+    spacing = _knn(near.tree, near.pts[used],
+                   min(k + 1, near.pts.shape[0]))[0][:, -1]
+    return np.median(spacing[at.reshape(patches.shape)], axis=1)
 
 
 def _graph_fits(queries, dst_chart, dst_resp, idx):
@@ -485,8 +560,13 @@ def compare(cloud_f, cloud_g, tol_rel=1e-4, min_overlap=0.3) -> Verdict:
     spread = _spread(np.vstack([cloud_f.vectors, cloud_g.vectors]))
     va = cloud_f.vectors / spread
     vb = cloud_g.vectors / spread
+    dims = (cloud_f.intrinsic_dim, cloud_g.intrinsic_dim)
+    shared = _shared_chart(cloud_f, cloud_g)
+    graphs = dims == (3, 3) and shared is not None
 
-    (sep, side, widx), near_f, near_g = _separation(va, vb)
+    # the graph test needs only to know that the clouds are not separated
+    (sep, side, widx), near_f, near_g = _separation(
+        va, vb, 10.0 * tol_rel if graphs else -np.inf)
     if sep > 10.0 * tol_rel:
         witness = (cloud_f if side == "F" else cloud_g).points[widx]
         notes.append("separated: min normalized patch distance %.6g exceeds "
@@ -495,9 +575,7 @@ def compare(cloud_f, cloud_g, tol_rel=1e-4, min_overlap=0.3) -> Verdict:
                      % (sep, 10.0 * tol_rel, side, widx, *witness))
         return Verdict(NOT_EQUIVALENT, 0.0, sep, tuple(notes))
 
-    dims = (cloud_f.intrinsic_dim, cloud_g.intrinsic_dim)
-    shared = _shared_chart(cloud_f, cloud_g)
-    if dims == (3, 3) and shared is not None:
+    if graphs:
         notes.append("chart %r shared by both clouds" % (shared,))
         cols = [CHART_CANDIDATES[name] for name in shared]
         rest = [i for i in range(va.shape[1]) if i not in cols]

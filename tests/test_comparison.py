@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from fbsig import SignatureCloud, compare
-from fbsig.signature import (NOT_EQUIVALENT, PATCH_K, _graph_residuals,
-                             _separation, _spread)
-from helpers import ref_graph_residuals, ref_patch_distance, ref_separation
+from fbsig import (SignatureCloud, SystemDef, TransformedSystem, build_cloud,
+                   compare, random_feedback)
+from fbsig import signature
+from fbsig.signature import (BLOCK_COLUMNS, EQUIVALENT, INCONCLUSIVE,
+                             NOT_EQUIVALENT, PATCH_K, _approach,
+                             _graph_residuals, _knn, _separation, _spread)
+from helpers import (CANONICAL, make_system, ref_graph_residuals,
+                     ref_patch_distance, ref_separation)
 
 CHART = ("j", "j1", "j2")       # columns 0, 1, 2 of the 14-vector
 REST = list(range(3, 14))
@@ -50,6 +55,13 @@ def with_cluster(v, value, ulps=0):
     return v
 
 
+def plane(t, seed=15):
+    """Points over t (n, 3) of a random flat 3-plane in R^14."""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.normal(size=(14, 3)))[0]
+    return t @ basis.T + rng.normal(size=14)
+
+
 CASES = {
     "1-300": (manifold(uniform(1, 1)), manifold(uniform(300, 2), 0.02)),
     "300-1": (manifold(uniform(300, 2)), manifold(uniform(1, 1), 0.02)),
@@ -73,6 +85,9 @@ CASES = {
                         with_cluster(manifold(uniform(300, 12)), 0.01, 2)),
     "partial-overlap": (manifold(1.5 * uniform(300, 13)),
                         manifold(uniform(300, 14))),
+    # far queries in the plane of small flat patches, where the distance is
+    # |q - c| - r up to rounding
+    "in-plane": (plane(100 * uniform(300, 16)), plane(uniform(300, 17))),
 }
 
 
@@ -91,12 +106,97 @@ def test_separation_matches_reference(case):
     assert_close(best[0], ref[0])
     for queries, pts, near in ((va, vb, near_f), (vb, va, near_g)):
         tree = cKDTree(pts)
-        assert_close(near.gap, [ref_patch_distance(q, pts, tree)
-                                for q in queries])
+        assert_close(near.gaps(np.arange(len(queries))),
+                     [ref_patch_distance(q, pts, tree) for q in queries])
         k_eff = min(PATCH_K, len(pts))
         assert near.idx.shape == (len(queries), k_eff)
         assert np.array_equal(near.idx,
                               tree.query(queries, k_eff)[1].reshape(-1, k_eff))
+
+
+def full_separation(va, vb):
+    """The patch distances of every sample of both clouds, and the
+    lexicographic minimum of (distance, side, index) over them."""
+    gap_f = _approach(va, vb).gaps(np.arange(len(va)))
+    gap_g = _approach(vb, va).gaps(np.arange(len(vb)))
+    best = min([(float(d), "F", i) for i, d in enumerate(gap_f)]
+               + [(float(d), "G", j) for j, d in enumerate(gap_g)])
+    return best, gap_f, gap_g
+
+
+def assert_pruned_matches_full(va, vb):
+    full, gap_f, gap_g = full_separation(va, vb)
+    for enough in (-np.inf, 1e-3):
+        best, near_f, near_g = _separation(va, vb, enough)
+        # every bound lies below the distance it bounds
+        assert np.all(near_f.lower <= gap_f)
+        assert np.all(near_g.lower <= gap_g)
+        if full[0] <= enough:
+            # stopped at a fitted sample close enough, not the closest one
+            assert best[0] <= enough
+            assert best[0] == (gap_f if best[1] == "F" else gap_g)[best[2]]
+        else:
+            assert best == full
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_pruned_separation_matches_full_evaluation(case):
+    assert_pruned_matches_full(*normalized(*CASES[case]))
+
+
+@given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 2 ** 16),
+       st.integers(0, 100), st.sampled_from(["other", "copy"]),
+       st.sampled_from([0.0, 1e-9, 1e-4, 0.05]))
+@settings(max_examples=40, deadline=None)
+def test_pruned_separation_on_random_clouds(n_f, n_g, seed, n_dup, g_kind,
+                                            shift):
+    # F has its first n_dup base points twice; G samples the same manifold
+    # at other base points or at F's own, shifted off it by `shift`
+    t_f = uniform(n_f, seed)
+    t_f = np.vstack([t_f, t_f[:n_dup]])
+    t_g = uniform(n_g, seed + 1) if g_kind == "other" else t_f
+    assert_pruned_matches_full(*normalized(manifold(t_f),
+                                           manifold(t_g, shift)))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_patch_distances_of_any_subset(case):
+    # a sample's distance does not depend on the samples fitted with it
+    rng = np.random.default_rng(0)
+    va, vb = normalized(*CASES[case])
+    for queries, pts in ((va, vb), (vb, va)):
+        near = _approach(queries, pts)
+        n = len(queries)
+        full = near.gaps(np.arange(n))
+        assert full.shape == (n,)
+        for rows in (rng.permutation(n), np.arange(n)[::-3],
+                     rng.choice(n, (n + 1) // 2, replace=False),
+                     np.array([n - 1]), np.zeros(0, dtype=int)):
+            assert np.array_equal(near.gaps(rows), full[rows])
+        for i in rng.choice(n, min(n, 20), replace=False):
+            assert np.array_equal(near.gaps(np.array([i])), full[[i]])
+
+
+def test_coinciding_clouds_fit_one_chunk(monkeypatch):
+    # cubic and its pushforward sample one 3-D manifold: the first chunk of
+    # samples already comes within 10*tol_rel, which is all the graph test
+    # needs to know of the separation
+    system = make_system("cubic")
+    phi = random_feedback(7, (system.domain.x, system.domain.u))
+    cloud_f = build_cloud(system, (9, 9, 9))
+    cloud_g = build_cloud(TransformedSystem(phi, system), (9, 9, 9))
+    assert len(cloud_f) + len(cloud_g) > 5 * BLOCK_COLUMNS
+    fitted = []
+    fit = signature._tangent_gaps
+
+    def counted(queries, pts, idx):
+        fitted.append(len(queries))
+        return fit(queries, pts, idx)
+
+    monkeypatch.setattr(signature, "_tangent_gaps", counted)
+    verdict = compare(cloud_f, cloud_g)
+    assert verdict.status == EQUIVALENT
+    assert 0 < sum(fitted) <= BLOCK_COLUMNS
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -128,16 +228,55 @@ def grid_cloud(name, vectors, t):
                           chart_margins={CHART: 1.0})
 
 
-def test_graph_mismatch_is_certified():
+def step_clouds():
     # two 3-D clouds on one 9^3 grid of the chart (j, j1, j2): they coincide
-    # where j <= 0.5 and differ by an O(1) step elsewhere, so they are not
-    # separated, but the residuals certify the difference
+    # where j <= 0.5 and differ by an O(1) step elsewhere
     axis = np.linspace(0.0, 1.0, 9)
     t = np.array(np.meshgrid(axis, axis, axis, indexing="ij")).reshape(3, -1).T
     vf = manifold(t)
     vg = vf.copy()
     vg[t[:, 0] > 0.5, 3:] += 1.0
-    verdict = compare(grid_cloud("F", vf, t), grid_cloud("G", vg, t))
+    return grid_cloud("F", vf, t), grid_cloud("G", vg, t)
+
+
+def gray_zone_clouds():
+    # cubic against cubic + 0.005*u*u1 at 11^3: not separated, and hundreds
+    # of samples pass every gate of the certificate but its last
+    f_text, domain = CANONICAL["cubic"]
+    perturbed = SystemDef.from_strings("cubic+", f_text + " + 0.005*u*u1",
+                                       domain)
+    return (build_cloud(make_system("cubic"), (11, 11, 11)),
+            build_cloud(perturbed, (11, 11, 11)))
+
+
+@pytest.mark.parametrize("clouds, status, candidates", [
+    (step_clouds, NOT_EQUIVALENT, [239, 320]),
+    (gray_zone_clouds, INCONCLUSIVE, [270, 251])])
+def test_certificate_spacing_matches_full_self_query(clouds, status,
+                                                     candidates, monkeypatch):
+    # the spacing of the candidates' patches equals the one read off a
+    # self-query of every target sample, bit for bit
+    seen = []
+    spacing_of = signature._local_spacing
+
+    def checked(near, rows, k):
+        r_loc = spacing_of(near, rows, k)
+        spacing = _knn(near.tree, near.pts, min(k + 1, len(near.pts)))[0]
+        assert np.array_equal(
+            r_loc, np.median(spacing[:, -1][near.idx[rows]], axis=1))
+        seen.append(len(rows))
+        return r_loc
+
+    monkeypatch.setattr(signature, "_local_spacing", checked)
+    assert compare(*clouds()).status == status
+    assert seen == candidates
+
+
+def test_graph_mismatch_is_certified():
+    # not separated, but the residuals certify the difference
+    cloud_f, cloud_g = step_clouds()
+    vf, vg = cloud_f.vectors, cloud_g.vectors
+    verdict = compare(cloud_f, cloud_g)
     assert verdict.status == NOT_EQUIVALENT
 
     va, vb = normalized(vf, vg)
