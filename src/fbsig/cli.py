@@ -224,7 +224,7 @@ def cmd_equiv(cfg, args, out):
 def cmd_transform(cfg, args, out):
     system = _get_system(cfg, args.system)
     mapping = _get_map(cfg, args.map)
-    params = np.array(system.domain.grid(cfg.grid))
+    params = system.domain.grid(cfg.grid)
     names = ("x", "u", "u1", "xt", "ut", "u1t", *_jet_col_names(),
              "J_F", "J_G")
     table = np.zeros((len(params), len(names)))
@@ -233,10 +233,11 @@ def cmd_transform(cfg, args, out):
     def transform_block(idx):
         base = tuple(params[idx].T)
         jet_f = system.taylor(base, 2)
-        q, jet_g = transformed_taylor(mapping, jet_f)
+        jet_g = transformed_taylor(mapping, jet_f)
         jf = eval_J(jet_f, cfg.eps_reg)
         jg = eval_J(jet_g, cfg.eps_reg)
-        table[idx] = np.column_stack([*base, *q, *jet_g.partials, jf, jg])
+        table[idx] = np.column_stack([*base, *jet_g.point, *jet_g.partials,
+                                      jf, jg])
 
     # the whole grid is evaluated before a file is opened, so an exit 4
     # leaves no file
@@ -376,9 +377,6 @@ def main(argv=None, out=None) -> int:
     except ConfigError as exc:
         out.write("config error: %s\n" % exc)
         return EXIT_CONFIG
-    except (EmptyCloud, NonRegular) as exc:
-        out.write("evaluation error: %s\n" % exc)
-        return EXIT_EVAL
     except FbsigError as exc:
         out.write("evaluation error: %s\n" % exc)
         return EXIT_EVAL

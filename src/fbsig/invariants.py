@@ -346,13 +346,14 @@ def bracket(i: int, j: int, jet: TaylorValue, eps=EPS_REG) -> np.ndarray:
     return _commutator(fields[i], fields[j])
 
 
-def bracket_scalars(jet: TaylorValue, eps=EPS_REG, tol=1e-6):
+def bracket_scalars(jet: TaylorValue, eps=EPS_REG):
     """(J_br, K_br, L_br) extracted from the three commutation relations.
 
     Also asserts the structural zeros of the relations: the x and u1
     components of [n2, n1] (the latter relative to J_br C1) and the x and u
-    components of [n3, n1].  A violation signals a formula transcription
-    problem rather than a numerical one.
+    components of [n3, n1], each to 1e-6 of the largest constant involved
+    (at least 1).  A violation signals a formula transcription problem
+    rather than a numerical one.
     """
     if jet.degree < 3:
         raise OrderExceeded("brackets need a jet of order >= 3")
@@ -378,10 +379,10 @@ def bracket_scalars(jet: TaylorValue, eps=EPS_REG, tol=1e-6):
         ("[n3,n1] u-component", br31[1]),
     )
     for label, resid in checks:
-        if abs(resid) > tol * scale:
+        if abs(resid) > 1e-6 * scale:
             raise RelationViolation(
-                "%s residual %.3e exceeds %.1e x scale %.3e"
-                % (label, abs(resid), tol, scale))
+                "%s residual %.3e exceeds 1.0e-06 x scale %.3e"
+                % (label, abs(resid), scale))
 
     L_br = (br32[2] + C3 - J_br * C1) / C2
     return float(J_br), float(K_br), float(L_br)

@@ -38,13 +38,13 @@ def jet_space_dim(k: int) -> int:
     return 3 + n_terms(k)
 
 
-def random_jet_point(order: int, seed, low=0.5, high=2.0) -> TaylorValue:
+def random_jet_point(order: int, seed) -> TaylorValue:
     """Seeded point of the `order`-jet space: a base point and derivatives
-    f_sigma, all in [low, high], as the series with those partials; regular
-    for low > 0 since f, f_u1 and f_u1u1 are then bounded away from zero."""
+    f_sigma, all in [0.5, 2], as the series with those partials; regular
+    since f, f_u1 and f_u1u1 are then bounded away from zero."""
     rng = np.random.default_rng(int(seed))
-    base = tuple(rng.uniform(low, high, size=3))
-    values = rng.uniform(low, high, size=n_terms(order))
+    base = tuple(rng.uniform(0.5, 2.0, size=3))
+    values = rng.uniform(0.5, 2.0, size=n_terms(order))
     return TaylorValue.from_partials(base, order, values)
 
 
@@ -176,16 +176,16 @@ class RankResult:
         return self.rank == self.expected
 
 
-def orbit_rank(k: int, seed=0, jet_point=None, cutoff=1e-8,
-               generators=None) -> RankResult:
-    """Numerical rank of the span of the prolonged generators at a point."""
+def orbit_rank(k: int, seed=0, jet_point=None, generators=None) -> RankResult:
+    """Numerical rank of the span of the prolonged generators at a point:
+    the singular values above 1e-8 of the largest."""
     if k > MAX_K:
         raise ValueError("k capped at %d" % MAX_K)
     jp = jet_point if jet_point is not None else random_jet_point(k + 1, seed)
     gens = generators if generators is not None else standard_generators(k)
     rows = np.array([prolonged_vector(g, jp, k) for g in gens])
     s = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.sum(s > cutoff * s[0]))
+    rank = int(np.sum(s > 1e-8 * s[0]))
     gap = float(s[rank - 1] / s[rank]) if rank < len(s) and s[rank] > 0 \
         else np.inf
     expected = expected_orbit_dim(k)

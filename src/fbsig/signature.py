@@ -98,12 +98,13 @@ class SignatureCloud:
         return self.points.shape[0]
 
 
-def build_cloud(system, grid, eps=EPS_REG, system_id=None) -> SignatureCloud:
+def build_cloud(system, grid, eps=EPS_REG) -> SignatureCloud:
     """Evaluate the signature over a grid; failing points are recorded.
 
-    `system` needs either `taylor_at_source(p, degree)` and
-    `jacobian_det(p)` methods and a `.source_domain` (transformed systems)
-    or a `.domain` box and `.taylor` (expression-backed systems).  Every
+    `system` needs a `.domain` box, whose grid it is sampled on, and
+    `.taylor(p, degree)`, whose series at a batch of grid points `p` carry
+    the cloud's base points as their `.point`: the grid points themselves
+    for a `SystemDef`, their images for a pushforward.  Every
     `len(grid points) // DIFFERENTIAL_PATCHES`-th grid point is evaluated
     from an order-5 jet, whose degree-1 signature series gives the value
     and the exact 14x3 differential there (with respect to the cloud's base
@@ -114,31 +115,29 @@ def build_cloud(system, grid, eps=EPS_REG, system_id=None) -> SignatureCloud:
     flag, `non-finite jet`, or one of SKIP_REASONS.  A pushforward point that
     fails before its image is known is recorded at its source grid point.
     Rows and skipped points are in grid-index order, so the cloud is
-    deterministic.  A pushforward whose prolonged map folds the source box
-    (det dPsi/dp changes sign over the evaluated points) raises
-    SingularTransform: points on both sides of the fold share image jets,
-    so the cloud would not sample one system.
+    deterministic.  A pushforward (a system with `jacobian_det`) whose
+    prolonged map folds the source box (det dPsi/dp changes sign over the
+    evaluated points) raises SingularTransform: points on both sides of the
+    fold share image jets, so the cloud would not sample one system.
     """
     if any(int(n) < 2 for n in grid):
         raise ValueError("grid counts must be >= 2")
-    transformed = hasattr(system, "taylor_at_source")
-    box = system.source_domain if transformed else system.domain
-    params = np.array(box.grid(grid))
+    params = system.domain.grid(grid)
     n = len(params)
     index = np.arange(n)
     with_diff = index % max(1, n // DIFFERENTIAL_PATCHES) == 0
 
-    points = params.copy()       # image points, once they are known
+    points = params.copy()       # series points, once they are known
     vectors = np.zeros((n, len(SIGNATURE_COMPONENTS)))
     diffs = np.zeros((n, len(SIGNATURE_COMPONENTS), 3))
     reasons = [None] * n
     with np.errstate(all="ignore"):
         for degree, chosen in ((1, index[with_diff]), (0, index[~with_diff])):
             evaluate_grid(chosen, partial(
-                _signature_block, system, transformed, params, degree, eps,
+                _signature_block, system, params, degree, eps,
                 points, vectors, diffs), reasons)
         kept = np.array([r is None for r in reasons])
-        if transformed and kept.any():
+        if hasattr(system, "jacobian_det") and kept.any():
             _check_fold(system, params[kept])
 
     skipped = skipped_points(points, reasons)
@@ -147,7 +146,7 @@ def build_cloud(system, grid, eps=EPS_REG, system_id=None) -> SignatureCloud:
                          "(%d skipped)" % len(skipped))
     cloud_points = points[kept]
     cloud = SignatureCloud(
-        system_id=system_id or getattr(system, "name", "system"),
+        system_id=getattr(system, "name", "system"),
         points=cloud_points, vectors=vectors[kept], skipped=skipped,
         jacobians=(diffs[kept & with_diff] * _spread(cloud_points)
                    if (kept & with_diff).any() else None))
@@ -180,15 +179,13 @@ def evaluate_grid(indices, stage, reasons):
                 idx = idx[_record_failure(exc, idx, reasons)]
 
 
-def _signature_block(system, transformed, params, degree, eps,
-                     points, vectors, diffs, idx):
+def _signature_block(system, params, degree, eps, points, vectors, diffs,
+                     idx):
     """Signature values (and at degree 1 differentials) of the grid points
-    `idx`, written into the rows `idx` of the output arrays; the image
-    points are written as soon as they are known."""
-    base = tuple(params[idx].T)
-    q, f_tv = (system.taylor_at_source(base, 4 + degree) if transformed
-               else (base, system.taylor(base, 4 + degree)))
-    points[idx] = np.column_stack(q)
+    `idx`, written into the rows `idx` of the output arrays; the base points
+    of the series are written as soon as they are known."""
+    f_tv = system.taylor(tuple(params[idx].T), 4 + degree)
+    points[idx] = np.column_stack(f_tv.point)
     series = signature_series(f_tv, degree, eps)
     vectors[idx] = np.column_stack([c.const for c in series])
     if degree:
@@ -227,9 +224,9 @@ def skipped_points(points, reasons):
             for i, reason in enumerate(reasons) if reason is not None]
 
 
-def _spread(values, floor=1e-12):
+def _spread(values):
     s = values.max(axis=0) - values.min(axis=0)
-    return np.where(s < floor, 1.0, s)
+    return np.where(s < 1e-12, 1.0, s)
 
 
 def _tangent_matrices(cloud):
@@ -241,12 +238,12 @@ def _tangent_matrices(cloud):
     return cloud.jacobians / _spread(cloud.vectors)[:, None]
 
 
-def intrinsic_dimension(cloud, sv_ratio=SV_RATIO) -> int:
+def intrinsic_dimension(cloud) -> int:
     """Median local rank of the signature differential (0..3)."""
     if len(cloud) < 30:
         raise TooFewSamples("need >= 30 samples, have %d" % len(cloud))
     s = np.linalg.svd(_tangent_matrices(cloud), compute_uv=False)
-    dims = np.where(s[:, 0] < SV_ZERO, 0, (s > sv_ratio * s[:, :1]).sum(1))
+    dims = np.where(s[:, 0] < SV_ZERO, 0, (s > SV_RATIO * s[:, :1]).sum(1))
     return int(np.sort(dims)[(len(dims) - 1) // 2])
 
 
@@ -267,25 +264,25 @@ def chart_margins(cloud) -> dict:
     return dict(zip(_TRIPLES, map(float, worst)))
 
 
-def select_chart(cloud, margin=CHART_MARGIN):
+def select_chart(cloud):
     """Best candidate triple by worst-case margin, or None below the margin."""
     if cloud.intrinsic_dim != 3:
         return None
     margins = cloud.chart_margins or chart_margins(cloud)
     best = max(margins, key=lambda t: (margins[t], t))
-    return best if margins[best] >= margin else None
+    return best if margins[best] >= CHART_MARGIN else None
 
 
-def tresse(v_tv, basis, cond_max=1e10) -> np.ndarray:
+def tresse(v_tv, basis) -> np.ndarray:
     """Tresse coefficients: solve grad(V) = sum_i lambda_i grad(J_i).
 
     `basis` are three pulled-back invariants as degree >= 1 series at the
     same point as `v_tv`; raises DependentBasis when their gradients are
-    numerically dependent.
+    numerically dependent (condition number above 1e10).
     """
     M = np.array([[b.partial(ax) for b in basis] for ax in _AXES])
     cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > cond_max:
+    if not np.isfinite(cond) or cond > 1e10:
         raise DependentBasis("basis gradient condition %.3e" % cond)
     rhs = np.array([v_tv.partial(ax) for ax in _AXES])
     return np.linalg.solve(M, rhs)
@@ -335,9 +332,9 @@ class _Approach:
         return gap
 
 
-def _approach(queries, pts, k=PATCH_K) -> _Approach:
-    """The patches of all queries from one kd-tree query of their k nearest
-    points in `pts`, and the lower bounds of their patch distances.
+def _approach(queries, pts) -> _Approach:
+    """The patches of all queries from one kd-tree query of their PATCH_K
+    nearest points in `pts`, and the lower bounds of their patch distances.
 
     With c and r the centroid and radius of a query's patch, the clipped
     tangent distance of `_tangent_gaps` is at least |q - c| - r: for the
@@ -347,7 +344,7 @@ def _approach(queries, pts, k=PATCH_K) -> _Approach:
     becomes 0, so no bound exceeds the distance `gaps` computes.
     """
     tree = cKDTree(pts)
-    idx = _knn(tree, queries, min(k, pts.shape[0]))[1]
+    idx = _knn(tree, queries, min(PATCH_K, pts.shape[0]))[1]
     lower = np.empty(queries.shape[0])
     for start in range(0, lower.size, BLOCK_COLUMNS):
         rows = slice(start, start + BLOCK_COLUMNS)
@@ -400,7 +397,7 @@ def _norms(rows):
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
-def _separation(va, vb, enough=-np.inf, k=PATCH_K):
+def _separation(va, vb, enough=-np.inf):
     """Min patch distance between the normalized clouds, both directions.
 
     Returns ((distance, side, sample index), approach of F to G, approach
@@ -413,7 +410,7 @@ def _separation(va, vb, enough=-np.inf, k=PATCH_K):
     With `enough`, the search also stops once a distance is at most
     `enough`, and the result is only the closest sample fitted so far.
     """
-    near_f, near_g = _approach(va, vb, k), _approach(vb, va, k)
+    near_f, near_g = _approach(va, vb), _approach(vb, va)
     n_f = va.shape[0]
     lower = np.concatenate([near_f.lower, near_g.lower])
     order = np.argsort(lower, kind="stable")
@@ -443,11 +440,10 @@ def _closest(gap_f, gap_g):
             else (float(gap_g[j]), "G", j))
 
 
-def _graph_residuals(src_chart, src_resp, dst_chart, dst_resp, tol, near,
-                     k=PATCH_K):
+def _graph_residuals(src_chart, src_resp, dst_chart, dst_resp, tol, near):
     """Residuals of src samples against dst's local graph over the chart.
 
-    Each src sample whose k nearest dst samples in the chart lie within
+    Each src sample whose PATCH_K nearest dst samples in the chart lie within
     twice the dst spacing `r_self` gets an affine fit of their responses
     (`_graph_fits`); a fit of full rank covers its sample.  `near` is the
     approach of src to dst in the full space (from `_separation`).
@@ -466,7 +462,7 @@ def _graph_residuals(src_chart, src_resp, dst_chart, dst_resp, tol, near,
     certified sample is the lowest src index that passes every test.
     """
     n, m = src_chart.shape[0], dst_chart.shape[0]
-    k_eff = min(k, m)
+    k_eff = min(PATCH_K, m)
     tree = cKDTree(dst_chart)
     # the median distance of a dst sample to its k-th neighbour
     r_self = float(np.median(
@@ -608,11 +604,11 @@ def compare(cloud_f, cloud_g, tol_rel=1e-4, min_overlap=0.3) -> Verdict:
     return Verdict(INCONCLUSIVE, 0.0, sep, tuple(notes))
 
 
-def _shared_chart(cloud_f, cloud_g, margin=CHART_MARGIN):
+def _shared_chart(cloud_f, cloud_g):
     """Chart triple maximizing the smaller of the two clouds' margins."""
     if not cloud_f.chart_margins or not cloud_g.chart_margins:
         return None
-    best, best_margin = None, margin
+    best, best_margin = None, CHART_MARGIN
     for t, mf in cloud_f.chart_margins.items():
         mg = cloud_g.chart_margins.get(t, 0.0)
         m = min(mf, mg)

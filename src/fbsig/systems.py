@@ -42,15 +42,11 @@ class Box:
         return (self.x, self.u, self.u1)
 
     def grid(self, counts):
-        """Grid points in fixed index order (x slowest, u1 fastest)."""
+        """Grid points as an (n, 3) array in fixed index order (x slowest,
+        u1 fastest)."""
         axes = [np.linspace(lo, hi, int(n))
                 for (lo, hi), n in zip(self.intervals, counts)]
-        pts = []
-        for xv in axes[0]:
-            for uv in axes[1]:
-                for wv in axes[2]:
-                    pts.append((float(xv), float(uv), float(wv)))
-        return pts
+        return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
 
     def sample(self, rng):
         return tuple(rng.uniform(lo, hi) for lo, hi in self.intervals)

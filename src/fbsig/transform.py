@@ -6,10 +6,10 @@ Its prolonged action on base points is
     (x, u, u1)  ->  (X(x), U(x, u), U_x F(x,u,u1) + U_u u1)
 
 and the transformed system G is pinned down by G(Psi(p)) = X'(x) F(p) for the
-prolonged map Psi above.  G generally has no closed form, so it is exposed as
-a series provider: the degree-`order` series of G at Psi(p) is obtained by
-composing the series of X' F with the truncated inverse of the series of Psi
-(solved degree by degree against the Jacobian).
+prolonged map Psi above.  G generally has no closed form, so a
+`TransformedSystem` computes its series: the degree-`order` series of G at
+Psi(p) is obtained by composing the series of X' F with the truncated
+inverse of the series of Psi (solved degree by degree against the Jacobian).
 """
 
 from __future__ import annotations
@@ -51,13 +51,6 @@ def _xu_series(mapping: FeedbackMap, point, degree):
         U_hi = TaylorValue.constant(float(U_hi), xl.point, degree + 1)
     return (X_hi.truncated(degree), X_hi.derivative(0),
             U_hi.truncated(degree), U_hi.derivative(0), U_hi.derivative(1))
-
-
-def pushforward_point(mapping: FeedbackMap, system, p):
-    """Image of a base point under the prolonged action."""
-    X, Xp, U, Ux, Uu = _xu_series(mapping, (p[0], p[1], p[2]), 0)
-    fval = float(system.taylor(p, 0).const)
-    return (X.const, U.const, Ux.const * fval + Uu.const * float(p[2]))
 
 
 #: A prolonged Jacobian with a condition number above this is singular.
@@ -136,31 +129,35 @@ def _invert_series(psi, q0):
 
 
 def transformed_taylor(mapping: FeedbackMap, f_tv: TaylorValue):
-    """(image point, series of the transformed system G at the image point).
-
-    For a batch `f_tv` the image point is three arrays, one entry per column.
-    """
+    """Series of the transformed system G at the image of the point of
+    `f_tv`; its `.point` is that image (three arrays for a batch)."""
     Xp, psi = _prolonged(mapping, f_tv)
     q0 = tuple(c.const for c in psi)
     rhs = Xp * f_tv
     if f_tv.degree == 0:
-        return q0, TaylorValue.constant(rhs.const, q0, 0)
-    xi = _invert_series(psi, q0)
-    return q0, poly_compose(rhs, xi)
+        return TaylorValue.constant(rhs.const, q0, 0)
+    return poly_compose(rhs, _invert_series(psi, q0))
 
 
 def transformed_jet(mapping: FeedbackMap, system, p, order) -> TaylorValue:
     """Jet (degree-`order` series) of the transformed system at the image of
     `p`."""
-    return transformed_taylor(mapping, system.taylor(p, order))[1]
+    return transformed_taylor(mapping, system.taylor(p, order))
+
+
+def pushforward_point(mapping: FeedbackMap, system, p):
+    """Image of a base point under the prolonged action."""
+    return transformed_taylor(mapping, system.taylor(p, 0)).point
 
 
 class TransformedSystem:
-    """The pushforward of a system, exposed as a series provider.
+    """The pushforward of a system: a system whose series are computed.
 
-    There is no closed-form expression for the transformed right-hand side,
-    so series are produced at source points; grids are sampled on the source
-    domain and mapped forward.
+    There is no closed-form expression for the transformed right-hand side.
+    Like a `SystemDef` it has a `domain` and `taylor(p, degree)`, but its
+    domain is the innermost system's box, which parametrizes it even when
+    nested: `p` is a source point, and the series returned is the one of
+    the transformed system at the image of `p`, its `.point`.
     """
 
     def __init__(self, mapping: FeedbackMap, base, name=None):
@@ -169,37 +166,21 @@ class TransformedSystem:
         self.name = name or ("pushforward(%s)" % getattr(base, "name", "?"))
 
     @property
-    def source_domain(self) -> Box:
-        """Domain of the innermost expression-backed system; transformed
-        systems are parametrized by it even when nested."""
-        base = self.base
-        while isinstance(base, TransformedSystem):
-            base = base.base
-        return base.domain
+    def domain(self) -> Box:
+        return self.base.domain
 
-    def taylor_at_source(self, p, degree):
-        """(image point, series of the transformed system there).
-
-        `p` is a point of the source parametrization, or a batch of them as
-        three arrays; for nested transforms it refers to the innermost
-        system's domain.
-        """
-        if isinstance(self.base, TransformedSystem):
-            _, f_tv = self.base.taylor_at_source(p, degree)
-        else:
-            f_tv = self.base.taylor(p, degree)
-        return transformed_taylor(self.mapping, f_tv)
+    def taylor(self, p, degree) -> TaylorValue:
+        """Series of the transformed system at the image of the source point
+        `p`, or of a batch of them given as three arrays."""
+        return transformed_taylor(self.mapping, self.base.taylor(p, degree))
 
     def jacobian_det(self, p):
         """det dPsi/dp of the prolonged map from the source parametrization
         to the image, nested transforms composed, at `p` (a point of the
         source parametrization, or a batch of them as three arrays)."""
-        if isinstance(self.base, TransformedSystem):
-            det = self.base.jacobian_det(p)
-            _, f_tv = self.base.taylor_at_source(p, 1)
-        else:
-            det, f_tv = 1.0, self.base.taylor(p, 1)
-        _, psi = _prolonged(self.mapping, f_tv)
+        det = (self.base.jacobian_det(p)
+               if isinstance(self.base, TransformedSystem) else 1.0)
+        _, psi = _prolonged(self.mapping, self.base.taylor(p, 1))
         return det * np.linalg.det(_jacobian(psi))
 
 
@@ -216,21 +197,19 @@ class InvertibilityReport:
             head, self.min_abs_xp, self.min_abs_uu)
 
 
-def invertibility_check(mapping: FeedbackMap, domain=None, n_samples=9,
-                        eps=1e-8, seed=0) -> InvertibilityReport:
-    """Sample |X'| and |U_u| on a grid plus random points of the (x, u) box."""
+def invertibility_check(mapping: FeedbackMap,
+                        domain=None) -> InvertibilityReport:
+    """Sample |X'| and |U_u| on a 9 x 9 grid plus 9 seeded random points of
+    the (x, u) box; a value at most 1e-8 is a violation."""
     (xlo, xhi), (ulo, uhi) = domain if domain is not None else mapping.domain
-    rng = np.random.default_rng(seed)
-    xs = list(np.linspace(xlo, xhi, n_samples))
-    us = list(np.linspace(ulo, uhi, n_samples))
-    pts = [(x, u) for x in xs for u in us]
-    pts += [(rng.uniform(xlo, xhi), rng.uniform(ulo, uhi))
-            for _ in range(n_samples)]
-    xs = np.array([x for x, _ in pts], dtype=float)
-    us = np.array([u for _, u in pts], dtype=float)
+    grid = np.meshgrid(np.linspace(xlo, xhi, 9), np.linspace(ulo, uhi, 9),
+                       indexing="ij")
+    rand = np.random.default_rng(0).uniform((xlo, ulo), (xhi, uhi), (9, 2))
+    xs = np.concatenate([grid[0].ravel(), rand[:, 0]])
+    us = np.concatenate([grid[1].ravel(), rand[:, 1]])
     _, Xp, _, _, Uu = _xu_series(mapping, (xs, us, np.zeros(xs.size)), 0)
     axp, auu = np.abs(Xp.const), np.abs(Uu.const)
-    bad = np.flatnonzero((axp <= eps) | (auu <= eps))
+    bad = np.flatnonzero((axp <= 1e-8) | (auu <= 1e-8))
     violation = (float(xs[bad[0]]), float(us[bad[0]])) if bad.size else None
     return InvertibilityReport(ok=violation is None,
                                min_abs_xp=float(axp.min()),

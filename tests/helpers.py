@@ -429,7 +429,8 @@ def ref_transform_rows(system, mapping, grid, eps=EPS_REG):
         for p in system.domain.grid(grid):
             try:
                 jet_f = system.taylor(p, 2)
-                q, jet_g = transformed_taylor(mapping, jet_f)
+                jet_g = transformed_taylor(mapping, jet_f)
+                q = jet_g.point
                 jf = ref_eval_J(jet_f, eps)
                 jg = ref_eval_J(jet_g, eps)
             except (NonRegular, *SKIP_REASONS) as exc:

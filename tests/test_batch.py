@@ -34,19 +34,15 @@ def per_point(system, grid):
     """Rows (point, values, differential) and skipped points, one point at a
     time through the scalar API (one series per point), in grid-index
     order."""
-    transformed = isinstance(system, TransformedSystem)
-    box = system.source_domain if transformed else system.domain
-    params = box.grid(grid)
+    params = system.domain.grid(grid)
     step = max(1, len(params) // DIFFERENTIAL_PATCHES)
     rows, skipped = [], []
     for idx, p in enumerate(params):
         degree = 1 if idx % step == 0 else 0
         point = p
         try:
-            if transformed:
-                point, f_tv = system.taylor_at_source(p, 4 + degree)
-            else:
-                f_tv = system.taylor(p, 4 + degree)
+            f_tv = system.taylor(p, 4 + degree)
+            point = f_tv.point
             if degree:
                 series = signature_series(f_tv, degree)
                 values = np.array([c.const for c in series])

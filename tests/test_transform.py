@@ -59,7 +59,7 @@ def test_transformed_constant_term_is_xprime_times_f():
     for system in all_systems():
         phi = random_feedback(3, (system.domain.x, system.domain.u))
         for p in sample_regular_points(system, 5, seed=2):
-            q, g_tv = transformed_taylor(phi, system.taylor(p, 3))
+            g_tv = transformed_taylor(phi, system.taylor(p, 3))
             xp = phi.X({"x": lift_variables(p, 1)[0]}).partial((1, 0, 0))
             expect = xp * system.value(p)
             assert g_tv.const == pytest.approx(expect, rel=1e-9)
@@ -73,7 +73,8 @@ def test_defining_relation_series(order):
     phi = random_feedback(1, (system.domain.x, system.domain.u))
     for p in sample_regular_points(system, 4, seed=9):
         f_tv = system.taylor(p, order)
-        q, g_tv = transformed_taylor(phi, f_tv)
+        g_tv = transformed_taylor(phi, f_tv)
+        q = g_tv.point
         xl, ul, wl = lift_variables(p, order)
         X = phi.X({"x": xl})
         U = phi.U({"x": xl, "u": ul})
@@ -101,13 +102,14 @@ def test_transformed_taylor_matches_reference(name, order):
         pts = [system.domain.sample(rng) for _ in range(4)]
         batch = tuple(np.array(pts).T)
         for p in (pts[0], batch):
-            q, g_tv = transformed_taylor(phi, system.taylor(p, order))
+            g_tv = transformed_taylor(phi, system.taylor(p, order))
+            q = g_tv.point
             q_ref, g_ref = ref_transformed_taylor(phi, system.taylor(p, order))
             assert all(np.array_equal(a, b) for a, b in zip(q, q_ref))
             scale = np.abs(g_ref.coeffs).max(axis=0)
             assert (np.abs(g_tv.coeffs - g_ref.coeffs) <= 1e-12 * scale).all()
         assert np.array_equal(transformed_taylor(phi, system.taylor(
-            pts[0], order))[1].coeffs, g_tv.coeffs[:, 0])
+            pts[0], order)).coeffs, g_tv.coeffs[:, 0])
 
 
 def test_group_action_composition():
@@ -123,8 +125,9 @@ def test_group_action_composition():
     two = TransformedSystem(phi2, TransformedSystem(phi1, system))
     one = TransformedSystem(comp, system)
     for p in sample_regular_points(system, 5, seed=3):
-        q_two, jet_two = two.taylor_at_source(p, 4)
-        q_one, jet_one = one.taylor_at_source(p, 4)
+        jet_two = two.taylor(p, 4)
+        jet_one = one.taylor(p, 4)
+        q_two, q_one = jet_two.point, jet_one.point
         assert q_two == pytest.approx(q_one, rel=1e-9)
         scale = np.abs(jet_one.partials).max() + 1.0
         assert (np.abs(jet_two.partials - jet_one.partials).max()
@@ -140,7 +143,8 @@ def test_two_sided_composition_returns_original():
     t = TransformedSystem(phi, system)
     back = TransformedSystem(inv, t)
     for p in sample_regular_points(system, 5, seed=7):
-        q, jet_round = back.taylor_at_source(p, 4)
+        jet_round = back.taylor(p, 4)
+        q = jet_round.point
         direct = system_jet(system, p, 4)
         assert q == pytest.approx(p, rel=1e-9)
         scale = np.abs(direct.partials).max() + 1.0
@@ -191,11 +195,36 @@ def test_taylor_at_source_batch_matches_points():
         FeedbackMap.from_strings("0.2 + 1.5*x", "0.1 + 2*u + 0.3*x"), system)
     nested = TransformedSystem(random_feedback(4, box), inner)
     pts = sample_regular_points(system, 6, seed=1)
-    q, g_tv = nested.taylor_at_source(tuple(np.array(pts).T), 4)
+    g_tv = nested.taylor(tuple(np.array(pts).T), 4)
+    q = g_tv.point
     for k, p in enumerate(pts):
-        q_k, g_k = nested.taylor_at_source(p, 4)
+        g_k = nested.taylor(p, 4)
+        q_k = g_k.point
         assert q_k == tuple(float(c[k]) for c in q)
         assert np.array_equal(g_k.coeffs, g_tv.coeffs[:, k])
+
+
+def test_a_pushforward_is_a_system():
+    # a pushforward has the `taylor` and `domain` of a SystemDef: its series
+    # sit at the image points, and its domain is the innermost box
+    system = make_system("cubic")
+    box = (system.domain.x, system.domain.u)
+    phi = random_feedback(5, box)
+    pushed = TransformedSystem(phi, system)
+    nested = TransformedSystem(random_feedback(6, box), pushed)
+    pts = sample_regular_points(system, 4, seed=5)
+    for p in pts:
+        jet = system_jet(pushed, p, 4)
+        want = transformed_jet(phi, system, p, 4)
+        assert jet.point == want.point
+        assert np.array_equal(jet.coeffs, want.coeffs)
+        assert pushed.taylor(p, 0).point == pushforward_point(phi, system, p)
+    assert nested.domain is system.domain
+    batch = nested.taylor(tuple(np.array(pts).T), 4)
+    for k, p in enumerate(pts):
+        one = nested.taylor(p, 4)
+        assert one.point == tuple(float(c[k]) for c in batch.point)
+        assert np.array_equal(one.coeffs, batch.coeffs[:, k])
 
 
 def test_random_feedback_determinism_and_variation():
@@ -225,7 +254,7 @@ def test_signature_invariance_under_pushforward():
     t = TransformedSystem(phi, system)
     for p in sample_regular_points(system, 5, seed=17):
         sf = signature_vector(system_jet(system, p, 4)).as_array()
-        _, jet_g = t.taylor_at_source(p, 4)
+        jet_g = t.taylor(p, 4)
         sg = signature_vector(jet_g).as_array()
         assert np.abs(sg - sf).max() <= 1e-6 * (1.0 + np.abs(sf).max())
 
@@ -240,7 +269,7 @@ def test_derivation_equivariance():
         phi = random_feedback(map_seed, (system.domain.x, system.domain.u))
         for p in sample_regular_points(system, 5, seed=19):
             f_tv = system.taylor(p, 4)
-            q, g_tv = transformed_taylor(phi, f_tv)
+            g_tv = transformed_taylor(phi, f_tv)
 
             h = 1e-6
             jac = np.zeros((3, 3))
