@@ -21,7 +21,9 @@ their CSV; `transform` exits 4 only when the map fails its invertibility
 check or no grid point survives, and then writes no file.
 Exit codes: 0 success (equiv: EQUIVALENT), 1 NOT_EQUIVALENT,
 2 INCONCLUSIVE, 3 configuration/usage errors (including malformed configs
-and points), 4 evaluation errors.
+and points, expressions nested deeper than `expr.MAX_DEPTH`, grids of more
+than `MAX_GRID_POINTS` points, negative seeds and an `--out` that cannot
+be written), 4 evaluation errors.
 All numeric output uses 17 significant digits and is deterministic for a
 fixed config and seed.
 """
@@ -29,8 +31,10 @@ fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -53,6 +57,10 @@ EXIT_NOT_EQUIVALENT = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_CONFIG = 3
 EXIT_EVAL = 4
+
+#: Most grid points a config may ask for; a larger grid is refused before
+#: anything is allocated.
+MAX_GRID_POINTS = 10 ** 6
 
 
 def _fmt(v):
@@ -77,6 +85,14 @@ def _integral(value, what) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError("%s must be an integer, got %r" % (what, value))
     return value
+
+
+def _seed(value, what) -> int:
+    """A seed: an integral number >= 0, as numpy's generators require."""
+    seed = _integral(value, what)
+    if seed < 0:
+        raise ConfigError("%s must be >= 0, got %d" % (what, seed))
+    return seed
 
 
 def _positive(value, what) -> float:
@@ -122,6 +138,9 @@ def load_config(path) -> RunConfig:
         grid = tuple(_integral(n, "grid count") for n in raw["grid"])
         if any(n < 2 for n in grid):
             raise ConfigError("grid must be three counts >= 2")
+        if math.prod(grid) > MAX_GRID_POINTS:
+            raise ConfigError("grid of %d points exceeds the cap of %d"
+                              % (math.prod(grid), MAX_GRID_POINTS))
         cfg.grid = grid
     for key in ("tol_rel", "min_overlap", "eps_reg"):
         if key in raw:
@@ -129,7 +148,7 @@ def load_config(path) -> RunConfig:
     if cfg.min_overlap > 1:
         raise ConfigError("min_overlap is a fraction of samples, at most 1")
     if "seed" in raw:
-        cfg.seed = _integral(raw["seed"], "seed")
+        cfg.seed = _seed(raw["seed"], "seed")
     return cfg
 
 
@@ -158,6 +177,21 @@ def _parse_point(text):
     if not all(math.isfinite(c) for c in point):
         raise ConfigError("point %r is not finite" % text)
     return point
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Around writing the file `path` and perhaps then a sidecar: an
+    OSError is a config error, and `path` is removed if it was opened
+    before the error, so no partial output stays behind."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename != path:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise ConfigError("cannot write %s: %s"
+                          % (exc.filename or path, exc.strerror)) from None
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -195,7 +229,8 @@ def cmd_signature(cfg, args, out):
     system = _get_system(cfg, args.system)
     cloud = build_cloud(system, cfg.grid, cfg.eps_reg)
     path = args.out or (args.system + "_signature.csv")
-    cloud_path, skipped_path = export_cloud(cloud, path)
+    with _writing(path):
+        cloud_path, skipped_path = export_cloud(cloud, path)
     out.write("samples: %d (skipped %d)\n" % (len(cloud), len(cloud.skipped)))
     out.write("intrinsic_dim: %s\n"
               % ("unknown" if cloud.intrinsic_dim is None
@@ -254,8 +289,9 @@ def cmd_transform(cfg, args, out):
     jf, jg = kept[:, -2], kept[:, -1]
     max_err = np.fmax.reduce(abs(jg - jf) / (1.0 + abs(jf)), initial=0.0)
     path = args.out or (args.system + "_" + args.map + "_transform.csv")
-    write_table(path, names, kept)
-    skipped_path = write_skipped(skipped, path)
+    with _writing(path):
+        write_table(path, names, kept)
+        skipped_path = write_skipped(skipped, path)
     out.write("wrote %s and %s\n" % (path, skipped_path))
     out.write("max relative invariance error |J_G - J_F|/(1+|J_F|): %s\n"
               % _fmt(max_err))
@@ -299,7 +335,7 @@ def cmd_orbit_dim(cfg, args, out):
                     "gap": None if r.gap == float("inf") else r.gap,
                     "singular_values": list(r.singular_values)}
                    for r in results]
-        with open(args.out, "w", newline="") as fh:
+        with _writing(args.out), open(args.out, "w", newline="") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
         out.write("wrote %s\n" % args.out)
@@ -370,7 +406,7 @@ def main(argv=None, out=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _seed(args.seed, "--seed")
         if args.tol is not None:
             cfg.tol_rel = _positive(args.tol, "--tol")
         return _COMMANDS[args.command](cfg, args, out)

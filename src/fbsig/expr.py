@@ -8,38 +8,56 @@ negative bases work; any other exponent goes through exp(e * log(base)).
 
 Evaluation is a structural fold over the AST and works for any carrier that
 supports the field operations and the elementary functions; plain floats and
-:class:`~fbsig.taylor.TaylorValue` both qualify.
+:class:`~fbsig.taylor.TaylorValue` both qualify.  Constant subexpressions
+fold over floats with the libm calls of the series code, so an overflow
+gives inf rather than an exception.  :meth:`Expression.taylor` expands an
+expression at a point of (x, u, u1); systems, feedback maps and feedback
+generators are all expanded by it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (ArityError, DivisionBySingular, DomainError,
                      ExpressionSyntaxError, UnknownIdentifier)
-from .taylor import DIV_EPS, TaylorValue, compose_elementary
+from .taylor import DIV_EPS, TaylorValue, _libm, compose_elementary
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "tan", "atan", "sqrt")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
+#: Deepest expression `parse` accepts: at most this many levels of nested
+#: parentheses, function calls and exponents, and a tree at most this many
+#: nodes deep.  Parsing, evaluation and printing recurse along the nesting,
+#: and this keeps them well inside Python's default recursion limit.
+MAX_DEPTH = 200
+
 
 # -- AST --------------------------------------------------------------------
+# Every node has a `depth`, the height of its tree: 1 for a leaf.
 
 
 @dataclass(frozen=True)
 class Num:
     value: float
+    depth = 1
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
+    depth = 1
 
 
 @dataclass(frozen=True)
 class Neg:
     arg: object
+    depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "depth", 1 + self.arg.depth)
 
 
 @dataclass(frozen=True)
@@ -47,12 +65,21 @@ class Bin:
     op: str
     left: object
     right: object
+    depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "depth",
+                           1 + max(self.left.depth, self.right.depth))
 
 
 @dataclass(frozen=True)
 class Call:
     fn: str
     arg: object
+    depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "depth", 1 + self.arg.depth)
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -113,6 +140,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.allowed = frozenset(allowed_vars)
+        self.level = 0  # open parentheses, calls and exponents
 
     def peek(self):
         return self.tokens[self.pos]
@@ -128,6 +156,19 @@ class _Parser:
             raise ExpressionSyntaxError("expected %r" % kind, tok[2])
         return tok
 
+    def enter(self, off):
+        """Open a nested subexpression at `off`; the caller closes it by
+        decrementing `level`."""
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise _too_deep(off)
+
+    @staticmethod
+    def checked(node, off):
+        if node.depth > MAX_DEPTH:
+            raise _too_deep(off)
+        return node
+
     def parse(self):
         node = self.expr()
         tok = self.peek()
@@ -138,29 +179,32 @@ class _Parser:
     def expr(self):
         node = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            node = Bin(op, node, self.term())
+            op, _, off = self.take()
+            node = self.checked(Bin(op, node, self.term()), off)
         return node
 
     def term(self):
         node = self.unary()
         while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            node = Bin(op, node, self.unary())
+            op, _, off = self.take()
+            node = self.checked(Bin(op, node, self.unary()), off)
         return node
 
     def unary(self):
-        if self.peek()[0] == "-":
-            self.take()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self):
+        """Minus signs, then an atom with an optional exponent: ``-a^b`` is
+        ``-(a^b)``.  The exponent parses at this level, so ``^`` is right
+        associative and its exponent may carry a sign."""
+        signs = []
+        while self.peek()[0] == "-":
+            signs.append(self.take()[2])
         node = self.atom()
         if self.peek()[0] == "^":
-            self.take()
-            # right associative; exponent may carry a unary minus
-            return Bin("^", node, self.unary())
+            off = self.take()[2]
+            self.enter(off)
+            node = self.checked(Bin("^", node, self.unary()), off)
+            self.level -= 1
+        for off in reversed(signs):
+            node = self.checked(Neg(node), off)
         return node
 
     def atom(self):
@@ -169,30 +213,39 @@ class _Parser:
         if kind == "num":
             return Num(value)
         if kind == "(":
+            self.enter(off)
             node = self.expr()
             self.expect(")")
+            self.level -= 1
             return node
         if kind == "ident":
             if self.peek()[0] == "(":
                 if value not in FUNCTIONS:
                     raise UnknownIdentifier(value, off)
                 self.take()
+                self.enter(off)
                 args = [self.expr()]
                 while self.peek()[0] == ",":
                     self.take()
                     args.append(self.expr())
                 self.expect(")")
+                self.level -= 1
                 if len(args) != 1:
                     raise ArityError(
                         "%s expects 1 argument, got %d" % (value, len(args)),
                         off)
-                return Call(value, args[0])
+                return self.checked(Call(value, args[0]), off)
             if value in CONSTANTS:
                 return Num(CONSTANTS[value])
             if value not in self.allowed:
                 raise UnknownIdentifier(value, off)
             return Var(value)
         raise ExpressionSyntaxError("expected a value", off)
+
+
+def _too_deep(off):
+    return ExpressionSyntaxError(
+        "expression nested deeper than %d levels" % MAX_DEPTH, off)
 
 
 @dataclass(frozen=True)
@@ -219,11 +272,28 @@ class Expression:
         walk(self.ast)
         return out
 
+    @cached_property
+    def _axes(self):
+        """(axis, name) of each of the coordinates x, u, u1 that occurs."""
+        names = self.variables()
+        return tuple((axis, name) for axis, name in enumerate(("x", "u", "u1"))
+                     if name in names)
+
     def to_string(self):
         return to_string(self.ast)
 
     def __call__(self, binding):
         return evaluate(self.ast, binding)
+
+    def taylor(self, point, degree) -> TaylorValue:
+        """Degree-`degree` expansion at `point` of (x, u, u1): one point, or
+        a batch given as three arrays of one length.  A constant expression
+        gives a constant series."""
+        out = self({name: TaylorValue.variable(axis, point, degree)
+                    for axis, name in self._axes})
+        if not isinstance(out, TaylorValue):
+            out = TaylorValue.constant(float(out), point, degree)
+        return out
 
 
 def parse(text: str, allowed_vars) -> Expression:
@@ -241,15 +311,11 @@ def _apply_fn(fn, v):
     if isinstance(v, TaylorValue):
         return compose_elementary(fn, v)
     v = float(v)
-    if fn == "log":
-        if v <= 0.0:
-            raise DomainError("log of non-positive value %g" % v)
-        return math.log(v)
-    if fn == "sqrt":
-        if v < 0.0:
-            raise DomainError("sqrt of negative value %g" % v)
-        return math.sqrt(v)
-    return getattr(math, fn)(v)
+    if fn == "log" and v <= 0.0:
+        raise DomainError("log of non-positive value %g" % v)
+    if fn == "sqrt" and v < 0.0:
+        raise DomainError("sqrt of negative value %g" % v)
+    return _libm(fn, v)
 
 
 def _int_literal(node):
@@ -271,7 +337,7 @@ def _pow(base, exp_node, binding):
         base = float(base)
         if base == 0.0 and n < 0:
             raise DivisionBySingular("zero base with negative exponent")
-        return base ** n
+        return _libm("pow", base, n)
     e = evaluate(exp_node, binding)
     if isinstance(base, TaylorValue) or isinstance(e, TaylorValue):
         if not isinstance(base, TaylorValue):
@@ -280,7 +346,7 @@ def _pow(base, exp_node, binding):
     base = float(base)
     if base <= 0.0:
         raise DomainError("non-integer power of non-positive base %g" % base)
-    return math.exp(float(e) * math.log(base))
+    return _libm("exp", float(e) * _libm("log", base))
 
 
 def evaluate(node, binding):

@@ -7,9 +7,12 @@ of systems; its generating function is
 
 At a jet point the prolonged vector has base components (a, b, u1 b_u + f b_x)
 and the component D_sigma(phi) + a f_{sigma+x} + b f_{sigma+u}
-+ (u1 b_u + f b_x) f_{sigma+u1} on each jet coordinate f_sigma.  Spanning
-these vectors over polynomial generators and reading off the numerical rank
-verifies the orbit-dimension and invariant-count bookkeeping:
++ (u1 b_u + f b_x) f_{sigma+u1} on each jet coordinate f_sigma.  A
+generator is a pair of expressions, a over x and b over (x, u), expanded
+by the routine that expands the components (X, U) of a feedback map.
+Spanning these vectors over the monomial generators and reading off the
+numerical rank verifies the orbit-dimension and invariant-count
+bookkeeping:
 
     rank_k = (k^2 + 7k + 6) / 2          for k >= 2 at regular points,
     # pure order-k invariants = k(k+1)/2 - 2,
@@ -27,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taylor import TaylorValue, index_map, lift_variables, n_terms, simplex
+from .expr import Expression, parse
+from .taylor import TaylorValue, index_map, n_terms, simplex
+from .transform import _xu_series
 
 #: Largest jet order for rank experiments (matrices stay at most 27 x 38).
 MAX_K = 4
@@ -50,52 +55,20 @@ def random_jet_point(order: int, seed) -> TaylorValue:
 
 @dataclass(frozen=True)
 class Generator:
-    """Polynomial feedback generator: a(x) = sum a_i x^i and
-    b(x, u) = sum b[i][j] x^i u^j."""
+    """Feedback generator a(x) d/dx + b(x, u) d/du: like a feedback map,
+    an expression over x paired with an expression over (x, u)."""
 
-    a_coeffs: tuple
-    b_coeffs: tuple  # tuple of rows; row i holds coefficients of x^i u^j
+    a: Expression
+    b: Expression
 
     @classmethod
     def monomial_a(cls, i):
-        return cls(a_coeffs=(0.0,) * i + (1.0,), b_coeffs=((0.0,),))
+        return cls(a=parse("x^%d" % i, {"x"}), b=parse("0", {"x", "u"}))
 
     @classmethod
     def monomial_b(cls, i, j):
-        rows = []
-        for r in range(i + 1):
-            if r == i:
-                rows.append((0.0,) * j + (1.0,))
-            else:
-                rows.append((0.0,))
-        return cls(a_coeffs=(0.0,), b_coeffs=tuple(rows))
-
-
-def _poly1(coeffs, xv):
-    """Evaluate sum c_i xv^i with Horner; works for floats and series."""
-    out = coeffs[-1]
-    if isinstance(xv, TaylorValue) and not isinstance(out, TaylorValue):
-        out = TaylorValue.constant(float(out), xv.point, xv.degree)
-    for c in reversed(coeffs[:-1]):
-        out = out * xv + c
-    return out
-
-
-def _poly1_deriv(coeffs):
-    return tuple(i * c for i, c in enumerate(coeffs))[1:] or (0.0,)
-
-
-def _poly2(rows, xv, uv):
-    return _poly1(tuple(_poly1(row, uv) for row in rows), xv)
-
-
-def _b_dx(rows):
-    return tuple(tuple(i * c for c in row)
-                 for i, row in enumerate(rows))[1:] or ((0.0,),)
-
-
-def _b_du(rows):
-    return tuple(_poly1_deriv(row) for row in rows)
+        return cls(a=parse("0", {"x"}),
+                   b=parse("x^%d*u^%d" % (i, j), {"x", "u"}))
 
 
 def generating_function(gen: Generator, jp: TaylorValue,
@@ -105,22 +78,13 @@ def generating_function(gen: Generator, jp: TaylorValue,
     if trunc + 1 > jp.degree:
         raise ValueError("jet order %d too low for truncation %d"
                          % (jp.degree, trunc))
-    xv, uv, wv = lift_variables(jp.point, trunc)
+    wv = TaylorValue.variable(2, jp.point, trunc)
     f_hi = jp.truncated(trunc + 1)
     fv = f_hi.truncated(trunc)
     f_x = f_hi.derivative(0)
     f_u = f_hi.derivative(1)
     f_z = f_hi.derivative(2)
-
-    av = _poly1(gen.a_coeffs, xv)
-    ax = _poly1(_poly1_deriv(gen.a_coeffs), xv)
-    bv = _poly2(gen.b_coeffs, xv, uv)
-    bx = _poly2(_b_dx(gen.b_coeffs), xv, uv)
-    bu = _poly2(_b_du(gen.b_coeffs), xv, uv)
-
-    zero = TaylorValue.constant(0.0, jp.point, trunc)
-    av, ax, bv, bx, bu = (c if isinstance(c, TaylorValue) else zero + float(c)
-                          for c in (av, ax, bv, bx, bu))
+    av, ax, bv, bx, bu = _xu_series(gen.a, gen.b, jp.point, trunc)
     return ax * fv - av * f_x - bv * f_u - (wv * bu + fv * bx) * f_z
 
 
@@ -135,13 +99,10 @@ def prolonged_vector(gen: Generator, jp: TaylorValue, k: int) -> np.ndarray:
         raise ValueError("prolonged_vector needs a jet point of order k+1")
     phi = generating_function(gen, jp, trunc=k)
 
-    x0, u0, w0 = jp.point
-    a0 = _poly1(gen.a_coeffs, x0)
-    b0 = _poly2(gen.b_coeffs, x0, u0)
-    bx0 = _poly2(_b_dx(gen.b_coeffs), x0, u0)
-    bu0 = _poly2(_b_du(gen.b_coeffs), x0, u0)
+    a0, _, b0, bx0, bu0 = (s.const for s in _xu_series(gen.a, gen.b,
+                                                        jp.point, 0))
     f, idx = jp.partials, index_map(jp.degree)
-    w_comp = w0 * bu0 + f[0] * bx0
+    w_comp = jp.point[2] * bu0 + f[0] * bx0
 
     out = np.empty(3 + n_terms(k))
     out[0], out[1], out[2] = a0, b0, w_comp

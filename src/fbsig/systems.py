@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .expr import Expression, parse
-from .taylor import TaylorValue, lift_variables
+from .taylor import TaylorValue
 
 SYSTEM_VARS = frozenset({"x", "u", "u1"})
 
@@ -73,8 +73,4 @@ class SystemDef:
     def taylor(self, p, degree) -> TaylorValue:
         """Degree-`degree` expansion of F at `p`: one point, or a batch given
         as three arrays (x, u, u1) of one length."""
-        xv, uv, wv = lift_variables(p, degree)
-        out = self.expr({"x": xv, "u": uv, "u1": wv})
-        if not isinstance(out, TaylorValue):
-            out = TaylorValue.constant(float(out), xv.point, degree)
-        return out
+        return self.expr.taylor(p, degree)

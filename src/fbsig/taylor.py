@@ -36,8 +36,9 @@ from .errors import (DivisionBySingular, DomainError, OrderExceeded, at,
                      check_columns)
 
 #: Largest supported truncation degree.  The 14-component signature needs
-#: degree 4 and its exact differential degree 5; a degree-5 pushforward lifts
-#: the feedback map one degree higher (``transform._xu_series``), hence 6.
+#: degree 4 and its exact differential degree 5; a degree-5 pushforward
+#: expands the feedback map one degree higher to differentiate it
+#: (``transform._xu_series``, which also expands orbit generators), hence 6.
 MAX_DEGREE = 6
 
 #: A divisor whose constant term is at most this is treated as singular.

@@ -21,8 +21,7 @@ import numpy as np
 from .errors import ConfigError, SingularTransform, at, check_columns
 from .expr import Expression, parse
 from .systems import Box
-from .taylor import (TaylorValue, _compose, index_map, lift_variables,
-                     n_terms, poly_compose)
+from .taylor import TaylorValue, _compose, index_map, n_terms, poly_compose
 
 
 @dataclass(frozen=True)
@@ -39,18 +38,14 @@ class FeedbackMap:
                    domain=tuple(tuple(map(float, iv)) for iv in domain))
 
 
-def _xu_series(mapping: FeedbackMap, point, degree):
-    """Series of X, X', U, U_x, U_u at the base point (or batch), at the
-    given degree."""
-    xl, ul, _ = lift_variables(point, degree + 1)
-    X_hi = mapping.X({"x": xl})
-    if not isinstance(X_hi, TaylorValue):
-        X_hi = TaylorValue.constant(float(X_hi), xl.point, degree + 1)
-    U_hi = mapping.U({"x": xl, "u": ul})
-    if not isinstance(U_hi, TaylorValue):
-        U_hi = TaylorValue.constant(float(U_hi), xl.point, degree + 1)
-    return (X_hi.truncated(degree), X_hi.derivative(0),
-            U_hi.truncated(degree), U_hi.derivative(0), U_hi.derivative(1))
+def _xu_series(a: Expression, b: Expression, point, degree):
+    """Series of a, a_x, b, b_x, b_u at the base point (or batch), at the
+    given degree, for a function a(x) paired with a function b(x, u): the
+    components (X, U) of a feedback map, or the coefficients of a feedback
+    generator a d/dx + b d/du."""
+    a_hi, b_hi = a.taylor(point, degree + 1), b.taylor(point, degree + 1)
+    return (a_hi.truncated(degree), a_hi.derivative(0),
+            b_hi.truncated(degree), b_hi.derivative(0), b_hi.derivative(1))
 
 
 #: A prolonged Jacobian with a condition number above this is singular.
@@ -60,7 +55,7 @@ COND_MAX = 1e12
 def _prolonged(mapping: FeedbackMap, f_tv: TaylorValue):
     """(X', (the three components of Psi)) as series at the point of f_tv."""
     p, degree = f_tv.point, f_tv.degree
-    X, Xp, U, Ux, Uu = _xu_series(mapping, p, degree)
+    X, Xp, U, Ux, Uu = _xu_series(mapping.X, mapping.U, p, degree)
     u1 = TaylorValue.variable(2, p, degree)
     return Xp, (X, U, Ux * f_tv + Uu * u1)
 
@@ -207,7 +202,8 @@ def invertibility_check(mapping: FeedbackMap,
     rand = np.random.default_rng(0).uniform((xlo, ulo), (xhi, uhi), (9, 2))
     xs = np.concatenate([grid[0].ravel(), rand[:, 0]])
     us = np.concatenate([grid[1].ravel(), rand[:, 1]])
-    _, Xp, _, _, Uu = _xu_series(mapping, (xs, us, np.zeros(xs.size)), 0)
+    _, Xp, _, _, Uu = _xu_series(mapping.X, mapping.U,
+                                 (xs, us, np.zeros(xs.size)), 0)
     axp, auu = np.abs(Xp.const), np.abs(Uu.const)
     bad = np.flatnonzero((axp <= 1e-8) | (auu <= 1e-8))
     violation = (float(xs[bad[0]]), float(us[bad[0]])) if bad.size else None

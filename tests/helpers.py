@@ -1,5 +1,7 @@
 """Shared fixtures-in-spirit: canonical systems and sampling utilities."""
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -11,7 +13,7 @@ from fbsig.invariants import (EPS_REG, SIGNATURE_COMPONENTS, _J_formula,
                               _require_regular)
 from fbsig.signature import (CHART_CANDIDATES, PATCH_K, SKIP_REASONS,
                              SV_RATIO, SV_ZERO, _spread)
-from fbsig.taylor import DIV_EPS, simplex
+from fbsig.taylor import DIV_EPS, index_map, lift_variables, n_terms, simplex
 from fbsig.transform import COND_MAX, _jacobian, _linear_positions, _prolonged
 
 #: Five systems, all regular with comfortable margin on their boxes.
@@ -442,3 +444,124 @@ def ref_transform_rows(system, mapping, grid, eps=EPS_REG):
             rows.append(",".join(_fmt(c) for c in
                                  (*p, *q, *jet_g.partials, jf, jg)))
     return "\n".join(rows) + "\n", "\n".join(skipped) + "\n", max_err
+
+
+# -- the orbit code before generators became expression pairs ----------------
+# Copied verbatim, with the public names prefixed ref_, so that the
+# prolonged vectors can be compared with the ones of fbsig.orbits.
+
+
+@dataclass(frozen=True)
+class ref_Generator:
+    """Polynomial feedback generator: a(x) = sum a_i x^i and
+    b(x, u) = sum b[i][j] x^i u^j."""
+
+    a_coeffs: tuple
+    b_coeffs: tuple  # tuple of rows; row i holds coefficients of x^i u^j
+
+    @classmethod
+    def monomial_a(cls, i):
+        return cls(a_coeffs=(0.0,) * i + (1.0,), b_coeffs=((0.0,),))
+
+    @classmethod
+    def monomial_b(cls, i, j):
+        rows = []
+        for r in range(i + 1):
+            if r == i:
+                rows.append((0.0,) * j + (1.0,))
+            else:
+                rows.append((0.0,))
+        return cls(a_coeffs=(0.0,), b_coeffs=tuple(rows))
+
+
+def _poly1(coeffs, xv):
+    """Evaluate sum c_i xv^i with Horner; works for floats and series."""
+    out = coeffs[-1]
+    if isinstance(xv, TaylorValue) and not isinstance(out, TaylorValue):
+        out = TaylorValue.constant(float(out), xv.point, xv.degree)
+    for c in reversed(coeffs[:-1]):
+        out = out * xv + c
+    return out
+
+
+def _poly1_deriv(coeffs):
+    return tuple(i * c for i, c in enumerate(coeffs))[1:] or (0.0,)
+
+
+def _poly2(rows, xv, uv):
+    return _poly1(tuple(_poly1(row, uv) for row in rows), xv)
+
+
+def _b_dx(rows):
+    return tuple(tuple(i * c for c in row)
+                 for i, row in enumerate(rows))[1:] or ((0.0,),)
+
+
+def _b_du(rows):
+    return tuple(_poly1_deriv(row) for row in rows)
+
+
+def ref_generating_function(gen: ref_Generator, jp: TaylorValue,
+                        trunc=None) -> TaylorValue:
+    """phi of the generator at the jet point, as a degree-`trunc` series."""
+    trunc = jp.degree - 1 if trunc is None else trunc
+    if trunc + 1 > jp.degree:
+        raise ValueError("jet order %d too low for truncation %d"
+                         % (jp.degree, trunc))
+    xv, uv, wv = lift_variables(jp.point, trunc)
+    f_hi = jp.truncated(trunc + 1)
+    fv = f_hi.truncated(trunc)
+    f_x = f_hi.derivative(0)
+    f_u = f_hi.derivative(1)
+    f_z = f_hi.derivative(2)
+
+    av = _poly1(gen.a_coeffs, xv)
+    ax = _poly1(_poly1_deriv(gen.a_coeffs), xv)
+    bv = _poly2(gen.b_coeffs, xv, uv)
+    bx = _poly2(_b_dx(gen.b_coeffs), xv, uv)
+    bu = _poly2(_b_du(gen.b_coeffs), xv, uv)
+
+    zero = TaylorValue.constant(0.0, jp.point, trunc)
+    av, ax, bv, bx, bu = (c if isinstance(c, TaylorValue) else zero + float(c)
+                          for c in (av, ax, bv, bx, bu))
+    return ax * fv - av * f_x - bv * f_u - (wv * bu + fv * bx) * f_z
+
+
+def ref_prolonged_vector(gen: ref_Generator, jp: TaylorValue,
+                         k: int) -> np.ndarray:
+    """Tangent vector of the prolonged generator at jp, on the k-jet space.
+
+    Component order: x, u, u1, then f_sigma by graded lexicographic sigma.
+    Requires a jet point of order k + 1; the order-(k+1) coordinates cancel
+    out of the result (checked by the well-definedness tests).
+    """
+    if jp.degree < k + 1:
+        raise ValueError("prolonged_vector needs a jet point of order k+1")
+    phi = ref_generating_function(gen, jp, trunc=k)
+
+    x0, u0, w0 = jp.point
+    a0 = _poly1(gen.a_coeffs, x0)
+    b0 = _poly2(gen.b_coeffs, x0, u0)
+    bx0 = _poly2(_b_dx(gen.b_coeffs), x0, u0)
+    bu0 = _poly2(_b_du(gen.b_coeffs), x0, u0)
+    f, idx = jp.partials, index_map(jp.degree)
+    w_comp = w0 * bu0 + f[0] * bx0
+
+    out = np.empty(3 + n_terms(k))
+    out[0], out[1], out[2] = a0, b0, w_comp
+    d_phi = phi.partials
+    for pos, (i, j, l) in enumerate(simplex(k)):
+        step = (a0 * f[idx[(i + 1, j, l)]] + b0 * f[idx[(i, j + 1, l)]]
+                + w_comp * f[idx[(i, j, l + 1)]])
+        out[3 + pos] = d_phi[pos] + step
+    return out
+
+
+def ref_standard_generators(k: int):
+    """a = x^i (i <= k+1) and b = x^i u^j (i+j <= k+1), enough to realize
+    every (k+1)-jet of (a, b) at a point."""
+    gens = [ref_Generator.monomial_a(i) for i in range(k + 2)]
+    gens += [ref_Generator.monomial_b(i, j)
+             for tot in range(k + 2) for i in range(tot + 1)
+             for j in [tot - i]]
+    return gens

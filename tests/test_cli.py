@@ -177,10 +177,20 @@ def test_signature_records_non_finite_jets(config_path, tmp_path):
         "f": "u1^2",
         "domain": {"x": [0, float("inf")], "u": [-1, 1], "u1": [1, 2]}})},
      []),
+    ({"seed": -5}, []),
+    ({}, ["--seed", "-1"]),
+    # refused by the config check, before any grid is allocated
+    ({"grid": [1000, 1000, 1000]}, []),
+    # deeper than expr.MAX_DEPTH: parser recursion, and a left-deep tree
+    *[({"systems": dict(CONFIG["systems"], sq={
+        "f": f, "domain": CONFIG["systems"]["sq"]["domain"]})}, [])
+      for f in ("(" * 3000 + "u1" + ")" * 3000, "-" * 3000 + "u1",
+                "+".join(["u1"] * 3000))],
 ], ids=["not-object", "grid-str", "grid-11.9", "grid-2.5", "grid-true",
         "grid-not-list", "tol-nan", "overlap-inf", "overlap-1.5", "eps-nan",
         "tol-huge", "seed-1.5", "cli-tol-nan", "cli-tol-inf", "point-nan",
-        "point-inf", "domain-inf"])
+        "point-inf", "domain-inf", "seed-negative", "cli-seed-negative",
+        "grid-cap", "deep-parentheses", "deep-unary-minus", "deep-flat-chain"])
 def test_malformed_config_exits_3(tmp_path, patch, extra):
     raw = dict(CONFIG, **patch) if isinstance(patch, dict) else patch
     path = tmp_path / "config.json"
@@ -367,3 +377,62 @@ def test_full_suite_byte_identical(config_path, tmp_path):
         return "\x00".join(blobs)
 
     assert one_pass() == one_pass()
+
+
+@pytest.mark.parametrize("f, x_text", [
+    ("u1^3 + 10^400", "2*x"),
+    ("u1^3 + 2^1e5", "2*x"),
+    ("u1^3 + exp(exp(10))", "2*x"),
+    ("u1^2^2^2^2^2", "2*x"),
+    ("u1^2", "x + 10^400"),
+], ids=["pow-literal", "pow-float-literal", "exp-exp", "pow-tower", "map-X"])
+def test_overflowing_constant_is_a_non_finite_jet(tmp_path, f, x_text):
+    # constants fold to inf; the jets are then non-finite, without warnings
+    path = str(tmp_path / "config.json")
+    with open(path, "w") as fh:
+        json.dump(dict(CONFIG, maps={"m": {"X": x_text, "U": "u"}}, systems={
+            "s": {"f": f, "domain": CONFIG["systems"]["sq"]["domain"]}}), fh)
+    out_csv = str(tmp_path / "out.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if x_text == "2*x":
+            code, text = run(["invariants", "--config", path, "--system", "s",
+                              "--point", "0,0,1.5"])
+            assert code == 0, text
+            assert text.splitlines()[1].split("\t")[3] == "no(non-finite jet)"
+            code, text = run(["signature", "--config", path, "--system", "s",
+                              "--out", out_csv])
+            assert code == 4, text
+            assert "no regular grid point" in text
+        code, text = run(["transform", "--config", path, "--system", "s",
+                          "--map", "m", "--out", out_csv])
+    assert code == 4, text
+    assert os.listdir(str(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["signature", "--system", "sq"],
+    ["transform", "--system", "sq", "--map", "double"],
+    ["orbit-dim", "--k", "1"],
+], ids=["signature", "transform", "orbit-dim"])
+def test_unwritable_out_exits_3(tmp_path, config_path, argv):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = str(out_dir / "missing" / "result.csv")
+    code, text = run(argv + ["--config", config_path, "--out", target])
+    assert code == 3
+    assert text.splitlines()[-1].startswith("config error: cannot write "
+                                            + target), text
+    assert os.listdir(str(out_dir)) == []
+
+
+def test_unwritable_sidecar_leaves_no_csv(tmp_path, config_path):
+    # the CSV is written first; when its sidecar fails, the CSV is removed
+    out_dir = tmp_path / "out"
+    (out_dir / "sq_skipped.csv").mkdir(parents=True)
+    code, text = run(["signature", "--config", config_path, "--system", "sq",
+                      "--out", str(out_dir / "sq.csv")])
+    assert code == 3
+    assert text.startswith("config error: cannot write "
+                           + str(out_dir / "sq_skipped.csv")), text
+    assert os.listdir(str(out_dir)) == ["sq_skipped.csv"]

@@ -8,7 +8,7 @@ import pytest
 from fbsig import (ArityError, DivisionBySingular, DomainError,
                    ExpressionSyntaxError, UnknownIdentifier, lift_variables,
                    parse)
-from fbsig.expr import Bin, Num, Var, to_string
+from fbsig.expr import MAX_DEPTH, Bin, Num, Var, to_string
 from helpers import fd_partial
 
 VARS = {"x", "u", "u1"}
@@ -162,3 +162,19 @@ def test_parse_print_parse_idempotent():
 def test_variables_listing():
     assert parse("x*u1 + exp(u)", VARS).variables() == {"x", "u", "u1"}
     assert parse("2 + 2", VARS).variables() == set()
+
+
+@pytest.mark.parametrize("shape", [
+    lambda n: "(" * n + "u1" + ")" * n,
+    lambda n: "-" * (n - 1) + "u1",
+    lambda n: "+".join(["u1"] * n),
+    lambda n: "^".join(["u1"] * n),
+], ids=["parentheses", "unary-minus", "flat-chain", "power-tower"])
+def test_depth_limit(shape):
+    # MAX_DEPTH levels parse, evaluate over series and print; one more is
+    # a syntax error, raised while parsing
+    e = parse(shape(MAX_DEPTH), VARS)
+    e.taylor((0.5, 0.5, 1.0), 2)
+    assert parse(to_string(e.ast), VARS).ast == e.ast
+    with pytest.raises(ExpressionSyntaxError, match="deeper than 200"):
+        parse(shape(MAX_DEPTH + 1), VARS)

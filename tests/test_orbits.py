@@ -10,6 +10,7 @@ from fbsig.orbits import (cumulative_invariants, expected_orbit_dim,
                           jet_space_dim, printed_orbit_dim,
                           pure_order_invariants, standard_generators)
 from fbsig.taylor import index_map, n_terms, simplex
+from helpers import ref_prolonged_vector, ref_standard_generators
 
 
 def pinned(jp, coords=None, point=None):
@@ -176,3 +177,16 @@ def test_rank_deficits_give_pure_order_counts():
 def test_k_cap():
     with pytest.raises(ValueError):
         orbit_rank(5)
+
+
+def test_prolonged_vectors_match_the_coefficient_row_generators():
+    # generators as expression pairs give the vectors of the former
+    # polynomial coefficient rows, Horner evaluation and all
+    for k in range(5):
+        refs = ref_standard_generators(k)
+        for seed in range(10):
+            jp = random_jet_point(k + 1, seed=seed)
+            for gen, ref in zip(standard_generators(k), refs, strict=True):
+                v, want = prolonged_vector(gen, jp, k), ref_prolonged_vector(
+                    ref, jp, k)
+                assert np.abs(v - want).max() <= 1e-14 * np.abs(want).max()
